@@ -22,6 +22,7 @@ from .graphs import (
 from .algebra import (
     FormalSum,
     GradedElement,
+    SymmetricSum,
     alpha,
     concat_product,
     forget_sum,

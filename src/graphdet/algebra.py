@@ -9,9 +9,14 @@ non-commutative: the same edges with different numbers are different graphs.
 On top of the vector-space plumbing this module builds the signed class sums
 over strongly semiconnected graphs that behave like determinants and minors
 of a generic matrix, and the mixed-degree element whose Laplace image counts
-acyclic graphs.  All constructions here enumerate by edge *multiset* first
-and then expand the distinct numberings, since membership in every class
-used is numbering-invariant; this keeps the big desk-scale cases cheap.
+acyclic graphs.  Membership in every class used here is invariant under
+renumbering the edges, so these sums are built as SymmetricSums: one
+coefficient per sorted edge multiset, standing for every distinct ordering
+of it.  ``laplace`` and ``pairing`` work on the multisets directly.  A
+SymmetricSum is expanded into the FormalSum over its numberings only where
+edge order matters: ``concat_product``, ``b_op``, ``map_graphs`` and
+``forget_sum``, text output, ``terms()``/``support()``, and comparison or
+addition with a FormalSum.  The expansion is memoized on the instance.
 """
 
 from __future__ import annotations
@@ -49,19 +54,20 @@ class FormalSum:
     """Homogeneous formal sum: finite map graph -> nonzero rational coefficient.
 
     All keys must share the same vertex count n, degree k and graph kind
-    (directed or undirected).  Instances are immutable by convention; all
+    (``DirectedGraph`` or ``UndirectedGraph``).  The kind is stored, so a
+    zero sum keeps it; it is inferred from the terms when not given, and
+    defaults to directed.  Instances are immutable by convention; all
     operations return new sums.
     """
 
-    __slots__ = ("n", "k", "_terms")
+    __slots__ = ("n", "k", "kind", "_terms")
 
-    def __init__(self, n: int, k: int, terms=None):
+    def __init__(self, n: int, k: int, terms=None, kind=None):
         if n < 1 or k < 0:
             raise ValueError("need n >= 1 and k >= 0")
         self.n = n
         self.k = k
         clean: dict = {}
-        kind = None
         for g, c in (terms or {}).items():
             c = _coeff(c)
             if c == 0:
@@ -75,17 +81,22 @@ class FormalSum:
                     f"term {g} breaks homogeneity: expected n={n}, k={k}"
                 )
             clean[g] = c
+        self.kind = kind or DirectedGraph
         self._terms = clean
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, k: int) -> "FormalSum":
-        return cls(n, k, {})
+    def zero(cls, n: int, k: int, kind=DirectedGraph) -> "FormalSum":
+        return cls(n, k, {}, kind)
 
     @classmethod
     def single(cls, g, c=1) -> "FormalSum":
-        return cls(g.n, g.k, {g: _coeff(c)})
+        return cls(g.n, g.k, {g: _coeff(c)}, type(g))
+
+    def expand(self) -> "FormalSum":
+        """The sum over numbered graphs: this sum itself."""
+        return self
 
     # -- basic queries -----------------------------------------------------
 
@@ -112,20 +123,19 @@ class FormalSum:
     def __eq__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
-        return (self.n, self.k) == (other.n, other.k) and self._terms == other._terms
+        return (self.n, self.k, self.kind) == (other.n, other.k, other.kind) and (
+            self._terms == other._terms
+        )
 
     def __hash__(self):
-        return hash((self.n, self.k, frozenset(self._terms.items())))
+        return hash((self.n, self.k, self.kind, frozenset(self._terms.items())))
 
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):
             return NotImplemented
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError(
-                f"degree mismatch: ({self.n},{self.k}) vs ({other.n},{other.k})"
-            )
+        kind = _common_kind(self, other)
         terms = dict(self._terms)
         for g, c in other._terms.items():
             c2 = terms.get(g, 0) + c
@@ -133,7 +143,7 @@ class FormalSum:
                 terms[g] = c2
             else:
                 terms.pop(g, None)
-        return FormalSum(self.n, self.k, terms)
+        return FormalSum(self.n, self.k, terms, kind)
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + (-1) * other
@@ -143,9 +153,8 @@ class FormalSum:
 
     def scale(self, c) -> "FormalSum":
         c = _coeff(c)
-        if c == 0:
-            return FormalSum.zero(self.n, self.k)
-        return FormalSum(self.n, self.k, {g: c * x for g, x in self._terms.items()})
+        terms = {g: c * x for g, x in self._terms.items()} if c else {}
+        return FormalSum(self.n, self.k, terms, self.kind)
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -155,22 +164,21 @@ class FormalSum:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if isinstance(other, FormalSum):
+        if isinstance(other, (FormalSum, SymmetricSum)):
             return concat_product(self, other)
         return NotImplemented
 
-    def map_graphs(self, fn: Callable) -> "FormalSum":
+    def map_graphs(self, fn: Callable, kind=None) -> "FormalSum":
         """Linear extension of a degree-preserving map on basis graphs;
-        coefficients of colliding images merge."""
+        coefficients of colliding images merge.  ``kind`` is the kind of the
+        images, needed when the sum is zero; it defaults to this sum's."""
         terms: dict = {}
-        n = k = None
+        n, k = self.n, self.k
         for g, c in self._terms.items():
             h = fn(g)
             n, k = h.n, h.k
             terms[h] = terms.get(h, 0) + c
-        if n is None:
-            return FormalSum.zero(self.n, self.k)
-        return FormalSum(n, k, terms)
+        return FormalSum(n, k, terms, kind or self.kind)
 
     def __str__(self):
         if self.is_zero:
@@ -178,22 +186,195 @@ class FormalSum:
         return " + ".join(f"({c})*{g}" for g, c in self.terms())
 
 
-def concat_product(s1: FormalSum, s2: FormalSum) -> FormalSum:
+def _common_kind(s1, s2):
+    """The kind of a sum of s1 and s2; a zero summand takes the other's."""
+    if (s1.n, s1.k) != (s2.n, s2.k):
+        raise ValueError(
+            f"degree mismatch: ({s1.n},{s1.k}) vs ({s2.n},{s2.k})"
+        )
+    if s1.kind is s2.kind or not s2:
+        return s1.kind
+    if not s1:
+        return s2.kind
+    raise ValueError("cannot mix directed and undirected terms")
+
+
+def multiplicity_factor(multiset: tuple) -> int:
+    """Product of the factorials of the multiplicities in a sorted tuple."""
+    out = run = 1
+    for prev, cur in zip(multiset, multiset[1:]):
+        run = run + 1 if prev == cur else 1
+        out *= run
+    return out
+
+
+def orderings(multiset: tuple) -> int:
+    """Number of distinct orderings of a sorted tuple: k! / m(multiset)."""
+    return factorial(len(multiset)) // multiplicity_factor(multiset)
+
+
+class SymmetricSum:
+    """Homogeneous sum invariant under renumbering of the edges.
+
+    ``_terms`` maps each sorted edge tuple (edge multiset) to the nonzero
+    coefficient that every distinct ordering of it carries.  As a vector it
+    equals ``expand()``, the FormalSum over all those numbered graphs, and
+    it answers the same queries: ``len()`` counts numbered graphs,
+    ``coeff(g)`` looks up ``sorted(g.edges)``, ``terms()`` and
+    ``support()`` list the expansion, and ``==`` against a FormalSum
+    compares expansions.
+    """
+
+    __slots__ = ("n", "k", "kind", "_terms", "_expanded")
+
+    def __init__(self, n: int, k: int, terms=None, kind=DirectedGraph):
+        if n < 1 or k < 0:
+            raise ValueError("need n >= 1 and k >= 0")
+        clean: dict = {}
+        for multiset, c in (terms or {}).items():
+            multiset = tuple(sorted(multiset))
+            if len(multiset) != k:
+                raise ValueError(
+                    f"multiset {multiset} breaks homogeneity: expected k={k}"
+                )
+            clean[multiset] = clean.get(multiset, 0) + _coeff(c)
+        self._set(n, k, kind, {m: c for m, c in clean.items() if c})
+
+    def _set(self, n, k, kind, terms) -> None:
+        self.n = n
+        self.k = k
+        self.kind = kind
+        self._terms = terms
+        self._expanded = None
+
+    @classmethod
+    def _make(cls, n: int, k: int, kind, terms: dict) -> "SymmetricSum":
+        """Wrap already clean terms: sorted keys, nonzero Fractions."""
+        out = cls.__new__(cls)
+        out._set(n, k, kind, terms)
+        return out
+
+    @classmethod
+    def zero(cls, n: int, k: int, kind=DirectedGraph) -> "SymmetricSum":
+        return cls._make(n, k, kind, {})
+
+    def expand(self) -> FormalSum:
+        """The FormalSum over every numbering of every multiset (memoized)."""
+        if self._expanded is None:
+            kind, n = self.kind, self.n
+            terms = {
+                kind(n, seq): c
+                for multiset, c in self._terms.items()
+                for seq in distinct_permutations(multiset)
+            }
+            self._expanded = FormalSum(self.n, self.k, terms, kind)
+        return self._expanded
+
+    # -- basic queries -----------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __len__(self):
+        return sum(orderings(m) for m in self._terms)
+
+    def coeff(self, g) -> Fraction:
+        if type(g) is not self.kind or (g.n, g.k) != (self.n, self.k):
+            return Fraction(0)
+        return self._terms.get(tuple(sorted(g.edges)), Fraction(0))
+
+    def terms(self) -> list[tuple]:
+        return self.expand().terms()
+
+    def support(self) -> list:
+        return self.expand().support()
+
+    def __eq__(self, other):
+        if isinstance(other, SymmetricSum):
+            return (self.n, self.k, self.kind) == (other.n, other.k, other.kind) and (
+                self._terms == other._terms
+            )
+        if isinstance(other, FormalSum):
+            return self.expand() == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.expand())
+
+    # -- linear structure ----------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, FormalSum):
+            return self.expand() + other
+        if not isinstance(other, SymmetricSum):
+            return NotImplemented
+        kind = _common_kind(self, other)
+        terms = dict(self._terms)
+        for m, c in other._terms.items():
+            c2 = terms.get(m, 0) + c
+            if c2:
+                terms[m] = c2
+            else:
+                terms.pop(m, None)
+        return SymmetricSum._make(self.n, self.k, kind, terms)
+
+    def __radd__(self, other):
+        if isinstance(other, FormalSum):
+            return other + self.expand()
+        return NotImplemented
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __neg__(self):
+        return (-1) * self
+
+    def scale(self, c) -> "SymmetricSum":
+        c = _coeff(c)
+        terms = {m: c * x for m, x in self._terms.items()} if c else {}
+        return SymmetricSum._make(self.n, self.k, self.kind, terms)
+
+    def __rmul__(self, c):
+        if isinstance(c, (int, Fraction)):
+            return self.scale(c)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if isinstance(other, (FormalSum, SymmetricSum)):
+            return concat_product(self, other)
+        return NotImplemented
+
+    def map_graphs(self, fn: Callable, kind=None) -> FormalSum:
+        return self.expand().map_graphs(fn, kind)
+
+    def __str__(self):
+        return str(self.expand())
+
+
+def concat_product(s1, s2) -> FormalSum:
     """Bilinear edge-sequence concatenation; degree adds, order matters."""
+    s1, s2 = s1.expand(), s2.expand()
     if s1.n != s2.n:
         raise ValueError(f"vertex-count mismatch: {s1.n} vs {s2.n}")
+    if s1.kind is not s2.kind:
+        raise ValueError("cannot multiply directed by undirected sums")
+    kind = s1.kind
     terms: dict = {}
     for g1, c1 in s1._terms.items():
         for g2, c2 in s2._terms.items():
-            if type(g1) is not type(g2):
-                raise ValueError("cannot multiply directed by undirected sums")
-            g = type(g1)(s1.n, g1.edges + g2.edges)
+            g = kind(s1.n, g1.edges + g2.edges)
             c = terms.get(g, 0) + c1 * c2
             if c:
                 terms[g] = c
             else:
                 terms.pop(g, None)
-    return FormalSum(s1.n, s1.k + s2.k, terms)
+    return FormalSum(s1.n, s1.k + s2.k, terms, kind)
 
 
 class GradedElement:
@@ -295,7 +476,7 @@ def sum_over_subgraphs(f: Callable, g: DirectedGraph, cap: int | None = None):
 # Whether a graph is strongly semiconnected / acyclic, and its isolated or
 # sink set, depend only on the multiset of its edges.  So instead of walking
 # all n^(2k) sequences we walk the C(n^2+k-1, k) multisets, classify each
-# once, and expand the qualifying ones into their distinct orderings.
+# once, and keep the qualifying ones as the terms of a SymmetricSum.
 
 
 def distinct_permutations(items: tuple) -> Iterator[tuple]:
@@ -328,21 +509,30 @@ def distinct_permutations(items: tuple) -> Iterator[tuple]:
 
 @lru_cache(maxsize=None)
 def _class_sum_cached(
-    n: int, k: int, cls: str, iso: frozenset | None, signed: bool
-) -> FormalSum:
+    n: int,
+    k: int,
+    cls: str,
+    iso: frozenset | None,
+    signed: bool,
+    edge: tuple | None = None,
+) -> SymmetricSum:
+    """Sum over the k-edge multisets M whose class test passes, +1 or
+    (-1)^beta0 each.  With ``edge`` set, the class test and the sign are
+    taken on M plus that edge; beta0 agrees with M's own whenever M plus the
+    edge is strongly semiconnected, as an edge joining two components lies
+    on no cycle."""
+    plus, minus = Fraction(1), Fraction(-1)
     terms: dict = {}
     for multiset in itertools.combinations_with_replacement(directed_edge_types(n), k):
-        c = _classify_key(n, multiset)
+        key = multiset if edge is None else tuple(sorted((edge,) + multiset))
+        c = _classify_key(n, key)
         if cls == "SSC":
             ok = c.strongly_semiconnected and (iso is None or c.isolated == iso)
         else:
             ok = c.acyclic and (iso is None or c.sinks == iso)
-        if not ok:
-            continue
-        coeff = Fraction((-1) ** c.beta0 if signed else 1)
-        for seq in distinct_permutations(multiset):
-            terms[DirectedGraph(n, seq)] = coeff
-    return FormalSum(n, k, terms)
+        if ok:
+            terms[multiset] = minus if signed and c.beta0 % 2 else plus
+    return SymmetricSum._make(n, k, DirectedGraph, terms)
 
 
 def class_sum(
@@ -352,7 +542,7 @@ def class_sum(
     I: Iterable[int] | None = None,
     signed: bool = False,
     cap: int | None = None,
-) -> FormalSum:
+) -> SymmetricSum:
     """U- or X-style sum over a semiconnectivity/acyclicity class."""
     cls = cls.upper()
     if cls not in ("SSC", "AC"):
@@ -362,25 +552,9 @@ def class_sum(
     return _class_sum_cached(n, k, cls, iso, signed)
 
 
-@lru_cache(maxsize=None)
-def _codim1_cached(n: int, k: int, i: int, j: int) -> FormalSum:
-    pre = Fraction((-1) ** k, factorial(k))
-    terms: dict = {}
-    for multiset in itertools.combinations_with_replacement(directed_edge_types(n), k):
-        cand = _classify_key(n, tuple(sorted(((i, j),) + multiset)))
-        if not (cand.strongly_semiconnected and not cand.isolated):
-            continue
-        # Sign taken from the graph itself, not the augmented one; the two
-        # beta0 values agree on every admissible graph anyway.
-        coeff = pre * (-1) ** _classify_key(n, multiset).beta0
-        for seq in distinct_permutations(multiset):
-            terms[DirectedGraph(n, seq)] = coeff
-    return FormalSum(n, k, terms)
-
-
 def universal_det(
     n: int, k: int, I: Iterable[int] = (), cap: int | None = None
-) -> FormalSum:
+) -> SymmetricSum:
     """The degree-k diagonal minor element for the vertex set I.
 
     ((-1)^k / k!) times the beta0-signed sum of all strongly semiconnected
@@ -392,14 +566,14 @@ def universal_det(
     if k < 0:
         raise ValueError("need k >= 0")
     if k < n - len(iso):
-        return FormalSum.zero(n, k)
+        return SymmetricSum.zero(n, k)
     check_cap((n * n) ** k, cap)
     return Fraction((-1) ** k, factorial(k)) * _class_sum_cached(n, k, "SSC", iso, True)
 
 
 def universal_codim1(
     n: int, k: int, i: int, j: int, cap: int | None = None
-) -> FormalSum:
+) -> SymmetricSum:
     """The degree-k (i,j)-minor element: signed sum over graphs G such that
     prepending the edge (i,j) makes G strongly semiconnected with no
     isolated vertex."""
@@ -408,7 +582,9 @@ def universal_codim1(
     if k < 0:
         raise ValueError("need k >= 0")
     check_cap((n * n) ** k, cap)
-    return _codim1_cached(n, k, i, j)
+    return Fraction((-1) ** k, factorial(k)) * _class_sum_cached(
+        n, k, "SSC", frozenset(), True, (i, j)
+    )
 
 
 def theta(n: int, cap: int | None = None) -> GradedElement:
@@ -433,7 +609,7 @@ def theta(n: int, cap: int | None = None) -> GradedElement:
 def forget_sum(s: FormalSum) -> FormalSum:
     """Linear extension of orientation-forgetting; distinct directed graphs
     may merge onto one undirected graph."""
-    return s.map_graphs(forget)
+    return s.map_graphs(forget, UndirectedGraph)
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +618,8 @@ def forget_sum(s: FormalSum) -> FormalSum:
 # sequence.  A zero sum is just the header.
 
 
-def format_formal_sum(s: FormalSum) -> str:
-    kind = "FS"
-    for g in s._terms:
-        if isinstance(g, UndirectedGraph):
-            kind = "FSU"
-        break
+def format_formal_sum(s) -> str:
+    kind = "FSU" if s.kind is UndirectedGraph else "FS"
     lines = [f"{kind} {s.n} {s.k}"]
     for g, c in s.terms():
         edges = " ; ".join(f"{a} {b}" for a, b in g.edges)
@@ -500,4 +672,4 @@ def parse_formal_sum(text: str) -> FormalSum:
         except ValueError as exc:
             raise GraphFormatError(str(exc), no)
         terms[g] = terms.get(g, 0) + c
-    return FormalSum(n, k, terms)
+    return FormalSum(n, k, terms, cls)

@@ -138,7 +138,7 @@ def cmd_laplace(args) -> int:
 
 def cmd_pair(args) -> int:
     s = parse_formal_sum(_read_text(args.input))
-    if any(isinstance(g, UndirectedGraph) for g in s.support()):
+    if s.kind is UndirectedGraph:
         raise SystemExit2("pairing is defined for directed sums (header 'FS')")
     W = WeightMatrix.symbolic(s.n)
     print(pairing(W, s))

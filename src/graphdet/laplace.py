@@ -8,6 +8,11 @@ composition order is irrelevant, and the whole operator can be applied in a
 single pass: a graph with L loops expands into (n-1)^L terms with sign
 (-1)^L, merged eagerly into the result.
 
+The Laplace operator treats every position alike, so it commutes with
+renumbering the edges and maps a SymmetricSum to a SymmetricSum; it is
+applied there once per edge multiset.  The position operators do not, and
+expand a SymmetricSum first.
+
 The same definition works verbatim for undirected sums; replacement edges
 are then stored canonically.
 """
@@ -18,7 +23,7 @@ import itertools
 from typing import overload
 
 from .graphs import DirectedGraph
-from .algebra import FormalSum, GradedElement
+from .algebra import FormalSum, GradedElement, SymmetricSum, multiplicity_factor
 
 
 def _replacements(kind, n: int, a: int):
@@ -29,6 +34,7 @@ def _replacements(kind, n: int, a: int):
 
 def b_op(p: int, s: FormalSum) -> FormalSum:
     """Resolve a loop in position p, linearly over the sum."""
+    s = s.expand()
     if not (1 <= p <= s.k):
         raise ValueError(f"edge position {p} out of range 1..{s.k}")
     terms: dict = {}
@@ -42,11 +48,13 @@ def b_op(p: int, s: FormalSum) -> FormalSum:
         for e in _replacements(type(g), s.n, a):
             h = type(g)(s.n, g.edges[: p - 1] + (e,) + g.edges[p:])
             terms[h] = terms.get(h, 0) - c
-    return FormalSum(s.n, s.k, terms)
+    return FormalSum(s.n, s.k, terms, s.kind)
 
 
 @overload
 def laplace(s: FormalSum) -> FormalSum: ...
+@overload
+def laplace(s: SymmetricSum) -> SymmetricSum: ...
 @overload
 def laplace(s: GradedElement) -> GradedElement: ...
 
@@ -59,8 +67,10 @@ def laplace(s):
     """
     if isinstance(s, GradedElement):
         return GradedElement(s.n, {k: laplace(part) for k, part in s.parts.items()})
+    if isinstance(s, SymmetricSum):
+        return _laplace_multisets(s)
     if not isinstance(s, FormalSum):
-        raise TypeError("laplace expects a FormalSum or GradedElement")
+        raise TypeError("laplace expects a FormalSum, SymmetricSum or GradedElement")
     n = s.n
     terms: dict = {}
     for g, c in s._terms.items():
@@ -82,4 +92,35 @@ def laplace(s):
                 terms[h] = c2
             else:
                 terms.pop(h, None)
-    return FormalSum(s.n, s.k, terms)
+    return FormalSum(s.n, s.k, terms, s.kind)
+
+
+def _laplace_multisets(s: SymmetricSum) -> SymmetricSum:
+    """Laplace image of a symmetric sum, one edge multiset at a time.
+
+    A multiset M with coefficient c stands for k!/m(M) numbered graphs,
+    m(M) being the product of its multiplicity factorials.  Resolving the
+    loops of one fixed ordering of M reaches each image multiset M' some
+    number of times t; over all orderings of M that is t * k!/m(M) numbered
+    images, spread evenly over the k!/m(M') orderings of M'.  So M adds
+    sign * c * t * m(M') / m(M) to the coefficient of M'.
+    """
+    n, kind = s.n, s.kind
+    terms: dict = {}
+    for multiset, c in s._terms.items():
+        loops = [a for a, b in multiset if a == b]
+        if loops and n == 1:
+            continue
+        fixed = tuple(e for e in multiset if e[0] != e[1])
+        images: dict = {}
+        for combo in itertools.product(*[_replacements(kind, n, a) for a in loops]):
+            image = tuple(sorted(fixed + combo))
+            images[image] = images.get(image, 0) + 1
+        c = (-1) ** len(loops) * c / multiplicity_factor(multiset)
+        for image, t in images.items():
+            c2 = terms.get(image, 0) + c * t * multiplicity_factor(image)
+            if c2:
+                terms[image] = c2
+            else:
+                terms.pop(image, None)
+    return SymmetricSum._make(s.n, s.k, kind, terms)

@@ -325,24 +325,37 @@ def laplace_matrix(m: WeightMatrix) -> WeightMatrix:
 def pairing(m: WeightMatrix, s) -> MultiPoly:
     """Product of matrix entries along each graph's edges, extended linearly.
 
-    Invariant under renumbering of the edges of any term.
+    The product does not depend on the edge numbering, so the work is done
+    once per edge multiset: a SymmetricSum is paired as it stands, each
+    multiset M weighted by its k!/m(M) numberings, and a FormalSum first
+    adds up its coefficients per sorted edge tuple.  Nothing is expanded.
     """
-    from .algebra import FormalSum
+    from .algebra import FormalSum, SymmetricSum, orderings
     from .graphs import DirectedGraph
 
-    if not isinstance(s, FormalSum):
-        raise TypeError("pairing expects a FormalSum")
+    if not isinstance(s, (FormalSum, SymmetricSum)):
+        raise TypeError("pairing expects a FormalSum or SymmetricSum")
     if s.n != m.n:
         raise ValueError(f"dimension mismatch: matrix {m.n}, sum over n={s.n}")
-    total = MultiPoly.zero()
-    for g, c in s._terms.items():
-        if not isinstance(g, DirectedGraph):
-            raise TypeError("pairing is defined for directed sums")
+    if s.kind is not DirectedGraph:
+        raise TypeError("pairing is defined for directed sums")
+    if isinstance(s, SymmetricSum):
+        grouped = {ms: c * orderings(ms) for ms, c in s._terms.items()}
+    else:
+        grouped = {}
+        for g, c in s._terms.items():
+            ms = tuple(sorted(g.edges))
+            grouped[ms] = grouped.get(ms, 0) + c
+    total: dict[Monomial, Fraction] = {}
+    for ms, c in grouped.items():
+        if not c:
+            continue
         prod = MultiPoly.const(c)
-        for a, b in g.edges:
+        for a, b in ms:
             prod = prod * m.entry(a, b)
-        total = total + prod
-    return total
+        for mono, x in prod._terms.items():
+            total[mono] = total.get(mono, 0) + x
+    return MultiPoly(total)
 
 
 def determinant(m: WeightMatrix) -> MultiPoly:

@@ -145,4 +145,4 @@ def universal_potts(
             value_cache[key] = val
         if val:
             terms[u] = val
-    return FormalSum(n, k, terms)
+    return FormalSum(n, k, terms, UndirectedGraph)

@@ -166,3 +166,20 @@ def test_suite_json_and_exit(tmp_path, capsys):
     assert {"direct", "diag", "specval", "minor_pairing", "theta"} <= names
     # theta n=2 passes, so the small grid is green
     assert code == 0
+
+
+def test_pair_rejects_undirected_zero_sum(tmp_path, capsys):
+    src = tmp_path / "s.fs"
+    src.write_text("FSU 2 1\n")
+    code, out, err = run(capsys, "pair", str(src))
+    assert code == 2 and "directed" in err and out == ""
+
+
+def test_laplace_keeps_kind_of_zero_sum(tmp_path, capsys):
+    src = tmp_path / "s.fs"
+    src.write_text("FSU 2 1\n")
+    code, out, _ = run(capsys, "laplace", str(src))
+    assert code == 0 and out == "FSU 2 1\n"
+    src.write_text("FSU 1 1\n1/1 | 1 1\n")
+    code, out, _ = run(capsys, "laplace", str(src))
+    assert code == 0 and out == "FSU 1 1\n"

@@ -9,9 +9,12 @@ from graphdet import (
     FormalSum,
     GraphFormatError,
     UndirectedGraph,
+    b_op,
+    forget_sum,
     format_formal_sum,
     format_graph,
     parse_formal_sum,
+    laplace,
     parse_graph,
     universal_codim1,
     universal_det,
@@ -106,3 +109,17 @@ def test_formal_sum_parse_errors():
 def test_parse_merges_duplicate_terms():
     s = parse_formal_sum("FS 2 1\n1/2 | 1 2\n1/2 | 1 2\n")
     assert s == FormalSum.single(D(2, ((1, 2),)), 1)
+
+
+def test_zero_sum_keeps_its_kind():
+    assert format_formal_sum(parse_formal_sum("FSU 2 1\n")) == "FSU 2 1\n"
+    assert format_formal_sum(parse_formal_sum("FS 2 1\n")) == "FS 2 1\n"
+    zu = FormalSum.zero(2, 1, UndirectedGraph)
+    assert zu != FormalSum.zero(2, 1)
+    assert parse_formal_sum(format_formal_sum(zu)) == zu
+    # cancellation, scaling by zero and the operators keep the kind too
+    s = FormalSum.single(U(2, ((1, 1),)))
+    for z in (s - s, 0 * s, laplace(s - s), b_op(1, s - s)):
+        assert z.is_zero and z.kind is UndirectedGraph
+    assert format_formal_sum(forget_sum(FormalSum.zero(2, 1))) == "FSU 2 1\n"
+    assert forget_sum(universal_det(2, 1, ())).kind is UndirectedGraph
