@@ -120,6 +120,23 @@ class FormalSum:
     def support(self) -> list:
         return [g for g, _ in self.terms()]
 
+    def diff(self, other) -> tuple[list[tuple], int]:
+        """Graph-by-graph mismatches against another sum of the same degree.
+
+        Returns the (edge sequence, own coefficient, other's coefficient)
+        triple of every numbered graph whose two coefficients differ, sorted
+        by edge sequence, and the number of numbered graphs in the union of
+        the two supports."""
+        other = other.expand()
+        graphs = set(self._terms) | set(other._terms)
+        out = []
+        for g in graphs:
+            a, b = self.coeff(g), other.coeff(g)
+            if a != b:
+                out.append((g.edges, a, b))
+        out.sort(key=lambda d: d[0])
+        return out, len(graphs)
+
     def __eq__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
@@ -214,7 +231,7 @@ def orderings(multiset: tuple) -> int:
 
 
 class SymmetricSum:
-    """Homogeneous sum invariant under renumbering of the edges.
+    """Homogeneous directed sum invariant under renumbering of the edges.
 
     ``_terms`` maps each sorted edge tuple (edge multiset) to the nonzero
     coefficient that every distinct ordering of it carries.  As a vector it
@@ -222,53 +239,52 @@ class SymmetricSum:
     it answers the same queries: ``len()`` counts numbered graphs,
     ``coeff(g)`` looks up ``sorted(g.edges)``, ``terms()`` and
     ``support()`` list the expansion, and ``==`` against a FormalSum
-    compares expansions.
+    compares expansions.  Every class sum is directed, so the kind is fixed.
     """
 
-    __slots__ = ("n", "k", "kind", "_terms", "_expanded")
+    __slots__ = ("n", "k", "_terms", "_expanded")
+    kind = DirectedGraph
 
-    def __init__(self, n: int, k: int, terms=None, kind=DirectedGraph):
-        if n < 1 or k < 0:
-            raise ValueError("need n >= 1 and k >= 0")
-        clean: dict = {}
-        for multiset, c in (terms or {}).items():
-            multiset = tuple(sorted(multiset))
-            if len(multiset) != k:
-                raise ValueError(
-                    f"multiset {multiset} breaks homogeneity: expected k={k}"
-                )
-            clean[multiset] = clean.get(multiset, 0) + _coeff(c)
-        self._set(n, k, kind, {m: c for m, c in clean.items() if c})
-
-    def _set(self, n, k, kind, terms) -> None:
+    def __init__(self, n: int, k: int, terms: dict):
+        """Wrap clean terms as they are: sorted edge tuples of length k
+        mapped to nonzero Fractions.  The dict is kept, not copied."""
         self.n = n
         self.k = k
-        self.kind = kind
         self._terms = terms
         self._expanded = None
 
     @classmethod
-    def _make(cls, n: int, k: int, kind, terms: dict) -> "SymmetricSum":
-        """Wrap already clean terms: sorted keys, nonzero Fractions."""
-        out = cls.__new__(cls)
-        out._set(n, k, kind, terms)
-        return out
-
-    @classmethod
-    def zero(cls, n: int, k: int, kind=DirectedGraph) -> "SymmetricSum":
-        return cls._make(n, k, kind, {})
+    def zero(cls, n: int, k: int) -> "SymmetricSum":
+        return cls(n, k, {})
 
     def expand(self) -> FormalSum:
         """The FormalSum over every numbering of every multiset (memoized)."""
         if self._expanded is None:
-            kind, n = self.kind, self.n
+            n = self.n
             terms = {
-                kind(n, seq): c
+                DirectedGraph(n, seq): c
                 for multiset, c in self._terms.items()
                 for seq in distinct_permutations(multiset)
             }
-            self._expanded = FormalSum(self.n, self.k, terms, kind)
+            self._expanded = FormalSum(self.n, self.k, terms, DirectedGraph)
         return self._expanded
+
+    def diff(self, other) -> tuple[list[tuple], int]:
+        """Graph-by-graph mismatches against another sum; see FormalSum.diff.
+
+        Against a SymmetricSum the comparison runs per edge multiset, and
+        only the multisets whose coefficients differ are expanded."""
+        if not isinstance(other, SymmetricSum):
+            return self.expand().diff(other)
+        zero = Fraction(0)
+        union = set(self._terms) | set(other._terms)
+        out = []
+        for multiset in union:
+            a, b = self._terms.get(multiset, zero), other._terms.get(multiset, zero)
+            if a != b:
+                out.extend((seq, a, b) for seq in distinct_permutations(multiset))
+        out.sort(key=lambda d: d[0])
+        return out, sum(orderings(m) for m in union)
 
     # -- basic queries -----------------------------------------------------
 
@@ -283,7 +299,7 @@ class SymmetricSum:
         return sum(orderings(m) for m in self._terms)
 
     def coeff(self, g) -> Fraction:
-        if type(g) is not self.kind or (g.n, g.k) != (self.n, self.k):
+        if type(g) is not DirectedGraph or (g.n, g.k) != (self.n, self.k):
             return Fraction(0)
         return self._terms.get(tuple(sorted(g.edges)), Fraction(0))
 
@@ -295,7 +311,7 @@ class SymmetricSum:
 
     def __eq__(self, other):
         if isinstance(other, SymmetricSum):
-            return (self.n, self.k, self.kind) == (other.n, other.k, other.kind) and (
+            return (self.n, self.k) == (other.n, other.k) and (
                 self._terms == other._terms
             )
         if isinstance(other, FormalSum):
@@ -312,7 +328,7 @@ class SymmetricSum:
             return self.expand() + other
         if not isinstance(other, SymmetricSum):
             return NotImplemented
-        kind = _common_kind(self, other)
+        _common_kind(self, other)  # raises on a degree mismatch
         terms = dict(self._terms)
         for m, c in other._terms.items():
             c2 = terms.get(m, 0) + c
@@ -320,7 +336,7 @@ class SymmetricSum:
                 terms[m] = c2
             else:
                 terms.pop(m, None)
-        return SymmetricSum._make(self.n, self.k, kind, terms)
+        return SymmetricSum(self.n, self.k, terms)
 
     def __radd__(self, other):
         if isinstance(other, FormalSum):
@@ -336,7 +352,7 @@ class SymmetricSum:
     def scale(self, c) -> "SymmetricSum":
         c = _coeff(c)
         terms = {m: c * x for m, x in self._terms.items()} if c else {}
-        return SymmetricSum._make(self.n, self.k, self.kind, terms)
+        return SymmetricSum(self.n, self.k, terms)
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -378,21 +394,30 @@ def concat_product(s1, s2) -> FormalSum:
 
 
 class GradedElement:
-    """A finite sum of homogeneous components of different degrees."""
+    """A finite sum of homogeneous components of different degrees.
 
-    __slots__ = ("n", "parts")
+    All components share one graph kind.  It is taken from the components
+    when not given, defaults to directed, and is the kind of the zero that
+    ``part`` returns for a missing degree."""
 
-    def __init__(self, n: int, parts: dict[int, FormalSum] | None = None):
+    __slots__ = ("n", "kind", "parts")
+
+    def __init__(self, n: int, parts: dict[int, FormalSum] | None = None, kind=None):
         self.n = n
         self.parts: dict[int, FormalSum] = {}
         for k, s in (parts or {}).items():
             if s.n != n or s.k != k:
                 raise ValueError("component degree disagrees with its key")
+            if kind is None:
+                kind = s.kind
+            elif s.kind is not kind:
+                raise ValueError("cannot mix directed and undirected components")
             if not s.is_zero:
                 self.parts[k] = s
+        self.kind = kind or DirectedGraph
 
     def part(self, k: int) -> FormalSum:
-        return self.parts.get(k, FormalSum.zero(self.n, k))
+        return self.parts.get(k, FormalSum.zero(self.n, k, self.kind))
 
     def degrees(self) -> list[int]:
         return sorted(self.parts)
@@ -400,7 +425,9 @@ class GradedElement:
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
             return NotImplemented
-        return self.n == other.n and self.parts == other.parts
+        return (self.n, self.kind) == (other.n, other.kind) and (
+            self.parts == other.parts
+        )
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         if self.n != other.n:
@@ -408,10 +435,12 @@ class GradedElement:
         parts = dict(self.parts)
         for k, s in other.parts.items():
             parts[k] = parts[k] + s if k in parts else s
-        return GradedElement(self.n, parts)
+        return GradedElement(self.n, parts, self.kind if self.parts else other.kind)
 
     def __rmul__(self, c):
-        return GradedElement(self.n, {k: c * s for k, s in self.parts.items()})
+        return GradedElement(
+            self.n, {k: c * s for k, s in self.parts.items()}, self.kind
+        )
 
     def __str__(self):
         if not self.parts:
@@ -423,20 +452,26 @@ class GradedElement:
 # Sums over graph streams and subgraphs
 
 
-def u_sum(graphs: Iterable, n: int | None = None, k: int | None = None) -> FormalSum:
+def u_sum(
+    graphs: Iterable, n: int | None = None, k: int | None = None, kind=None
+) -> FormalSum:
     """Plain sum of a homogeneous stream of graphs, coefficient +1 each.
 
-    n and k are only needed when the stream may be empty.
+    n and k are only needed when the stream may be empty; so is kind, the
+    graph kind of an empty sum, which is otherwise taken from the graphs
+    and defaults to directed.
     """
-    return _stream_sum(graphs, n, k, signed=False)
+    return _stream_sum(graphs, n, k, kind, signed=False)
 
 
-def x_sum(graphs: Iterable, n: int | None = None, k: int | None = None) -> FormalSum:
+def x_sum(
+    graphs: Iterable, n: int | None = None, k: int | None = None, kind=None
+) -> FormalSum:
     """Sum of a stream with each graph weighted by (-1)^beta0."""
-    return _stream_sum(graphs, n, k, signed=True)
+    return _stream_sum(graphs, n, k, kind, signed=True)
 
 
-def _stream_sum(graphs, n, k, signed: bool) -> FormalSum:
+def _stream_sum(graphs, n, k, kind, signed: bool) -> FormalSum:
     terms: dict = {}
     for g in graphs:
         if n is None:
@@ -445,7 +480,7 @@ def _stream_sum(graphs, n, k, signed: bool) -> FormalSum:
         terms[g] = terms.get(g, 0) + c
     if n is None:
         raise ValueError("empty stream: pass n and k explicitly")
-    return FormalSum(n, k, terms)
+    return FormalSum(n, k, terms, kind)
 
 
 def alpha(g: DirectedGraph) -> int:
@@ -532,7 +567,7 @@ def _class_sum_cached(
             ok = c.acyclic and (iso is None or c.sinks == iso)
         if ok:
             terms[multiset] = minus if signed and c.beta0 % 2 else plus
-    return SymmetricSum._make(n, k, DirectedGraph, terms)
+    return SymmetricSum(n, k, terms)
 
 
 def class_sum(

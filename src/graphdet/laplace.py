@@ -66,7 +66,9 @@ def laplace(s):
     output is supported on loop-free graphs only.
     """
     if isinstance(s, GradedElement):
-        return GradedElement(s.n, {k: laplace(part) for k, part in s.parts.items()})
+        return GradedElement(
+            s.n, {k: laplace(part) for k, part in s.parts.items()}, s.kind
+        )
     if isinstance(s, SymmetricSum):
         return _laplace_multisets(s)
     if not isinstance(s, FormalSum):
@@ -123,4 +125,4 @@ def _laplace_multisets(s: SymmetricSum) -> SymmetricSum:
                 terms[image] = c2
             else:
                 terms.pop(image, None)
-    return SymmetricSum._make(s.n, s.k, kind, terms)
+    return SymmetricSum(s.n, s.k, terms)

@@ -26,8 +26,6 @@ from .algebra import (
     SymmetricSum,
     class_sum,
     concat_product,
-    distinct_permutations,
-    orderings,
     theta,
     universal_codim1,
     universal_det,
@@ -118,34 +116,13 @@ def _failure(edges, expected, actual) -> dict:
 
 
 def _sum_diff(actual, expected) -> list[dict]:
-    """Per-graph coefficient mismatches, ordered by edge sequence.
-
-    Two SymmetricSums are compared per edge multiset, and only the
-    multisets that differ are expanded into their numberings."""
-    if isinstance(actual, SymmetricSum) and isinstance(expected, SymmetricSum):
-        out = []
-        for ms in set(actual._terms) | set(expected._terms):
-            a, e = actual._terms.get(ms, 0), expected._terms.get(ms, 0)
-            if a != e:
-                out.extend((seq, e, a) for seq in distinct_permutations(ms))
-        return [_failure(*f) for f in sorted(out, key=lambda f: f[0])]
-    actual, expected = actual.expand(), expected.expand()
-    out = []
-    graphs = sorted(
-        set(actual.support()) | set(expected.support()), key=lambda g: g.edges
-    )
-    for g in graphs:
-        a, e = actual.coeff(g), expected.coeff(g)
-        if a != e:
-            out.append(_failure(g.edges, e, a))
-    return out
+    """Per-graph coefficient mismatches, ordered by edge sequence."""
+    return [_failure(edges, e, a) for edges, a, e in actual.diff(expected)[0]]
 
 
 def _compared(actual, expected) -> int:
     """Numbered graphs in the union of the two supports."""
-    if isinstance(actual, SymmetricSum) and isinstance(expected, SymmetricSum):
-        return sum(orderings(ms) for ms in set(actual._terms) | set(expected._terms))
-    return len(set(actual.support()) | set(expected.support()))
+    return actual.diff(expected)[1]
 
 
 def _poly_failure(expected: MultiPoly, actual: MultiPoly, label="") -> dict:

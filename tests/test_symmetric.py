@@ -47,6 +47,16 @@ def _pair_numbered(m: WeightMatrix, s: FormalSum) -> MultiPoly:
     return total
 
 
+def _sym(n, k, terms) -> SymmetricSum:
+    """A SymmetricSum from loose terms: keys sorted, repeats merged, zeros
+    dropped."""
+    clean: dict = {}
+    for multiset, c in terms.items():
+        multiset = tuple(sorted(multiset))
+        clean[multiset] = clean.get(multiset, 0) + Fraction(c)
+    return SymmetricSum(n, k, {m: c for m, c in clean.items() if c})
+
+
 def _subsets(n):
     for size in range(n + 1):
         yield from combinations(range(1, n + 1), size)
@@ -107,13 +117,13 @@ def test_multiset_counts():
     assert multiplicity_factor(()) == 1
     assert multiplicity_factor(((1, 1), (1, 1), (1, 2), (2, 2), (2, 2), (2, 2))) == 12
     assert orderings(((1, 1), (1, 1), (1, 2))) == 3
-    s = SymmetricSum(2, 2, {((2, 1), (1, 2)): 1, ((1, 1), (1, 1)): Fraction(1, 2)})
-    assert list(s._terms) == [((1, 2), (2, 1)), ((1, 1), (1, 1))]
+    s = _sym(2, 2, {((2, 1), (1, 2)): 1, ((1, 1), (1, 1)): Fraction(1, 2)})
     assert len(s) == 3 and s.coeff(D(2, ((2, 1), (1, 2)))) == 1
     assert s.coeff(UndirectedGraph(2, ((1, 2), (1, 2)))) == 0
     assert (s - s).is_zero and s + SymmetricSum.zero(2, 2) == s
+    assert s.kind is D and (s - s).kind is D and laplace(s).kind is D
     with pytest.raises(ValueError):
-        SymmetricSum(2, 1, {((1, 2), (2, 1)): 1})
+        s + SymmetricSum.zero(2, 1)
 
 
 def test_mixed_arithmetic_expands():
@@ -165,7 +175,7 @@ def symmetric_sums(draw):
     multiset = st.lists(edge, min_size=k, max_size=k).map(lambda es: tuple(sorted(es)))
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     terms = draw(st.dictionaries(multiset, coeff, max_size=3))
-    return SymmetricSum(n, k, terms)
+    return _sym(n, k, terms)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
