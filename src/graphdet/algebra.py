@@ -37,6 +37,7 @@ from .graphs import (
     classify,
     directed_edge_types,
     forget,
+    subgraphs,
 )
 
 Coefficient = Fraction
@@ -496,12 +497,9 @@ def sigma(g: DirectedGraph) -> int:
 
 def sum_over_subgraphs(f: Callable, g: DirectedGraph, cap: int | None = None):
     """Sum of f over all 2^k subgraphs of g (edge subsets, vertices kept)."""
-    k = g.k
-    check_cap(2 ** k, cap)
     total = 0
-    for mask in range(2 ** k):
-        edges = tuple(g.edges[p] for p in range(k) if mask >> p & 1)
-        total = total + f(type(g)(g.n, edges))
+    for sub, _ in subgraphs(g, cap=cap):
+        total = total + f(sub)
     return total
 
 

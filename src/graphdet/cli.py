@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 identity failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -186,45 +187,35 @@ def _report_out(reports: list[VerificationReport], args) -> None:
             print(r.human())
 
 
+# The verify flag that sets each parameter a check can take.
+_CHECK_FLAGS = {"n": "--n", "k": "--k", "I": "--sinks", "m": "--m",
+                "i": "--minor i/j", "j": "--minor i/j"}
+
+
 def cmd_verify(args) -> int:
     name = args.check.replace("-", "_")
     if name not in CHECK_FUNCTIONS:
         raise SystemExit2(
             f"unknown check {args.check!r}; known: {', '.join(sorted(CHECK_FUNCTIONS))}"
         )
-    params: dict = {}
-    if name in ("direct", "direct_prime", "mobius", "diag", "codim1", "expansion",
-                "derivative", "specval", "lapl_tutte", "operator_laws"):
-        if args.n is None or args.k is None:
-            raise SystemExit2(f"check {args.check!r} needs --n and --k")
-        params["n"], params["k"] = args.n, args.k
-    if name in ("minor_pairing", "kirchhoff_diag", "theta"):
-        if args.n is None:
-            raise SystemExit2(f"check {args.check!r} needs --n")
-        params["n"] = args.n
-    if name == "kirchhoff_codim1":
-        if args.n is None or not args.minor:
-            raise SystemExit2("kirchhoff_codim1 needs --n and --minor i/j")
-        params["n"] = args.n
-        params["i"], params["j"] = _parse_minor(args.minor)
-    if name == "diag":
-        params["I"] = _parse_vertex_set(args.sinks or args.isolated)
-    if name == "kirchhoff_diag":
-        params["I"] = _parse_vertex_set(args.sinks or args.isolated)
-        if not params["I"]:
-            raise SystemExit2("kirchhoff_diag needs a nonempty --sinks set")
-    if name == "codim1":
-        if not args.minor:
-            raise SystemExit2("codim1 needs --minor i/j")
-        params["i"], params["j"] = _parse_minor(args.minor)
-    if name == "derivative":
-        if not args.minor and args.m is None:
-            raise SystemExit2("derivative needs --minor i/i and --m")
-        i, j = _parse_minor(args.minor) if args.minor else (1, 1)
-        if i != j:
-            raise SystemExit2("derivative differentiates a diagonal entry; use --minor i/i")
-        params["i"] = i
-        params["m"] = args.m if args.m is not None else 1
+    # The check's signature says what it takes; a parameter without a
+    # default must be given.
+    sig = inspect.signature(CHECK_FUNCTIONS[name]).parameters
+    diagonal = "i" in sig and "j" not in sig  # the check takes an entry i/i
+    flags = dict(_CHECK_FLAGS, i="--minor i/i") if diagonal else _CHECK_FLAGS
+    given = {"n": args.n, "k": args.k, "m": args.m}
+    if args.sinks or args.isolated:
+        given["I"] = _parse_vertex_set(args.sinks or args.isolated)
+    if args.minor:
+        given["i"], given["j"] = _parse_minor(args.minor)
+        if diagonal and given["i"] != given["j"]:
+            raise SystemExit2(f"check {args.check!r} needs a diagonal --minor i/i")
+    params = {p: given[p] for p in sig if given.get(p) is not None}
+    missing = [flags[p] for p, spec in sig.items()
+               if p in flags and p not in params and spec.default is spec.empty]
+    if missing:
+        need = " and ".join(dict.fromkeys(missing))
+        raise SystemExit2(f"check {args.check!r} needs {need}")
     try:
         report = run_check(name, params, cap=args.cap, jobs=args.jobs)
     except (ValueError, KeyError) as exc:
@@ -257,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_nk=False):
+    def common(p):
         p.add_argument("--cap", type=int, default=None, help="enumeration case cap")
 
     p = sub.add_parser("classify", help="classify a directed graph file")

@@ -27,31 +27,32 @@ from .graphs import (
 from .poly import MultiPoly, Q, V, X, Y
 
 
-def potts(u: UndirectedGraph, cap: int | None = None) -> MultiPoly:
-    """Subgraph-expansion polynomial in q and v."""
+def _subset_counts(u: UndirectedGraph, cap: int | None) -> dict[tuple[int, int], int]:
+    """How many edge subsets of u have each (components, size) pair."""
     k = u.k
     check_cap(2 ** k, cap)
     counts: dict = {}
     for mask in range(2 ** k):
         sub = tuple(u.edges[p] for p in range(k) if mask >> p & 1)
-        b0 = _beta0(u.n, sub)
-        size = len(sub)
-        mono = ((Q, b0),) if size == 0 else ((Q, b0), (V, size))
-        counts[mono] = counts.get(mono, 0) + 1
-    return MultiPoly(counts)
+        key = (_beta0(u.n, sub), len(sub))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def potts(u: UndirectedGraph, cap: int | None = None) -> MultiPoly:
+    """Subgraph-expansion polynomial in q and v."""
+    return MultiPoly({
+        ((Q, b0),) if size == 0 else ((Q, b0), (V, size)): count
+        for (b0, size), count in _subset_counts(u, cap).items()
+    })
 
 
 def potts_value(u: UndirectedGraph, q0, v0, cap: int | None = None) -> Fraction:
     """The partition function evaluated at exact rationals, without building
     the polynomial."""
     q0, v0 = Fraction(q0), Fraction(v0)
-    k = u.k
-    check_cap(2 ** k, cap)
-    total = Fraction(0)
-    for mask in range(2 ** k):
-        sub = tuple(u.edges[p] for p in range(k) if mask >> p & 1)
-        total += q0 ** _beta0(u.n, sub) * v0 ** len(sub)
-    return total
+    counts = _subset_counts(u, cap).items()
+    return sum((c * q0 ** b0 * v0 ** size for (b0, size), c in counts), Fraction(0))
 
 
 def shave(u: UndirectedGraph) -> UndirectedGraph:

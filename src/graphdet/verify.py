@@ -14,10 +14,12 @@ elapsed time.
 
 from __future__ import annotations
 
+import inspect
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 
@@ -115,14 +117,11 @@ def _failure(edges, expected, actual) -> dict:
     }
 
 
-def _sum_diff(actual, expected) -> list[dict]:
-    """Per-graph coefficient mismatches, ordered by edge sequence."""
-    return [_failure(edges, e, a) for edges, a, e in actual.diff(expected)[0]]
-
-
-def _compared(actual, expected) -> int:
-    """Numbered graphs in the union of the two supports."""
-    return actual.diff(expected)[1]
+def _sum_diff(actual, expected) -> tuple[list[dict], int]:
+    """Per-graph coefficient mismatches, ordered by edge sequence, and the
+    number of numbered graphs in the union of the two supports."""
+    mismatches, compared = actual.diff(expected)
+    return [_failure(edges, e, a) for edges, a, e in mismatches], compared
 
 
 def _poly_failure(expected: MultiPoly, actual: MultiPoly, label="") -> dict:
@@ -198,115 +197,130 @@ def _sigma_of(n: int, subset_key: tuple) -> int:
     return (-1) ** c.beta1 if c.strongly_semiconnected else 0
 
 
-def _direct_worker(args) -> list[dict]:
-    n, k, swapped, lo, hi = args
-    etypes = directed_edge_types(n)
-    positions = [tuple(p for p in range(k) if m >> p & 1) for m in range(2 ** k)]
-    inner = _sigma_of if swapped else _alpha_of
-    outer = _alpha_of if swapped else _sigma_of
+@lru_cache(maxsize=None)
+def _subsets(k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Per bit mask of the k edge positions: the positions it keeps, and
+    their count."""
+    positions = tuple(tuple(p for p in range(k) if m >> p & 1) for m in range(2 ** k))
+    return positions, tuple(len(pos) for pos in positions)
+
+
+@lru_cache(maxsize=None)
+def _matrices(n: int) -> tuple[WeightMatrix, WeightMatrix]:
+    """The symbolic weight matrix and its zero-row-sum companion."""
+    W = WeightMatrix.symbolic(n)
+    return W, laplace_matrix(W)
+
+
+def _case_worker(args) -> list[dict]:
+    """Failures of one index range: ``case(n, k, edges)`` returns None or
+    the (expected, actual) pair of a mismatching graph."""
+    case, n, k, etypes, lo, hi = args
     failures = []
     for idx in range(lo, hi):
         edges = _edges_at(idx, k, etypes)
-        lhs = 0
-        for pos in positions:
-            lhs += inner(n, tuple(sorted(edges[p] for p in pos)))
-        rhs = (-1) ** k * outer(n, tuple(sorted(edges)))
-        if lhs != rhs:
-            failures.append(_failure(edges, rhs, lhs))
+        bad = case(n, k, edges)
+        if bad is not None:
+            failures.append(_failure(edges, *bad))
     return failures
+
+
+def _enumerate(
+    check, case, n, k, per_case, cap, jobs, edge_types=directed_edge_types
+) -> VerificationReport:
+    """Run ``case`` on every k-edge sequence over ``edge_types(n)``, in
+    chunks; the cap counts ``per_case`` units of work per sequence."""
+    t0 = time.perf_counter()
+    etypes = edge_types(n)
+    total = len(etypes) ** k
+    check_cap(total * per_case, cap)
+    failures = _run_chunked(_case_worker, (case, n, k, etypes), total, jobs)
+    return _report(check, {"n": n, "k": k}, failures, total, t0)
+
+
+def _subgraph_sum_case(n, k, edges, inner, outer):
+    lhs = 0
+    for pos in _subsets(k)[0]:
+        lhs += inner(n, tuple(sorted(edges[p] for p in pos)))
+    rhs = (-1) ** k * outer(n, tuple(sorted(edges)))
+    return None if lhs == rhs else (rhs, lhs)
+
+
+def _direct_case(n, k, edges):
+    return _subgraph_sum_case(n, k, edges, _alpha_of, _sigma_of)
+
+
+def _direct_prime_case(n, k, edges):
+    return _subgraph_sum_case(n, k, edges, _sigma_of, _alpha_of)
 
 
 def verify_direct(n: int, k: int, cap=None, jobs: int = 1) -> VerificationReport:
     """Sum of the acyclicity sign over all subgraphs against the
     semiconnectivity sign of the whole graph, for every (n,k) graph."""
-    t0 = time.perf_counter()
-    total = (n * n) ** k
-    check_cap(total * 2 ** k, cap)
-    failures = _run_chunked(_direct_worker, (n, k, False), total, jobs)
-    return _report("direct", {"n": n, "k": k}, failures, total, t0)
+    return _enumerate("direct", _direct_case, n, k, 2 ** k, cap, jobs)
 
 
 def verify_direct_prime(n: int, k: int, cap=None, jobs: int = 1) -> VerificationReport:
     """The companion identity with the two graph signs exchanged."""
-    t0 = time.perf_counter()
-    total = (n * n) ** k
-    check_cap(total * 2 ** k, cap)
-    failures = _run_chunked(_direct_worker, (n, k, True), total, jobs)
-    return _report("direct_prime", {"n": n, "k": k}, failures, total, t0)
+    return _enumerate("direct_prime", _direct_prime_case, n, k, 2 ** k, cap, jobs)
 
 
-def _mobius_worker(args) -> list[dict]:
-    n, k, lo, hi = args
-    etypes = directed_edge_types(n)
-    nmask = 2 ** k
-    bits = [bin(m).count("1") for m in range(nmask)]
-    positions = [tuple(p for p in range(k) if m >> p & 1) for m in range(nmask)]
-    failures = []
-    for idx in range(lo, hi):
-        edges = _edges_at(idx, k, etypes)
-        a = [0] * nmask
-        s = [0] * nmask
+def _mobius_case(n, k, edges):
+    positions, bits = _subsets(k)
+    nmask = len(positions)
+    a = [0] * nmask
+    s = [0] * nmask
+    for m in range(nmask):
+        key = tuple(sorted(edges[p] for p in positions[m]))
+        a[m] = _alpha_of(n, key)
+        s[m] = _sigma_of(n, key)
+    full = nmask - 1
+    checks = []
+    # The reweighted subset transform carries one sign to the other ...
+    lhs = sum((-1) ** (k - bits[m]) * (-1) ** bits[m] * a[m] for m in range(nmask))
+    checks.append((s[full], lhs))
+    lhs = sum((-1) ** (k - bits[m]) * (-1) ** bits[m] * s[m] for m in range(nmask))
+    checks.append((a[full], lhs))
+    # ... and inverting the plain subset transform returns the input.
+    for vals in (a, s):
+        acc = 0
         for m in range(nmask):
-            key = tuple(sorted(edges[p] for p in positions[m]))
-            a[m] = _alpha_of(n, key)
-            s[m] = _sigma_of(n, key)
-        full = nmask - 1
-        checks = []
-        # The reweighted subset transform carries one sign to the other ...
-        lhs = sum((-1) ** (k - bits[m]) * (-1) ** bits[m] * a[m] for m in range(nmask))
-        checks.append(("alpha->sigma", s[full], lhs))
-        lhs = sum((-1) ** (k - bits[m]) * (-1) ** bits[m] * s[m] for m in range(nmask))
-        checks.append(("sigma->alpha", a[full], lhs))
-        # ... and inverting the plain subset transform returns the input.
-        for name, vals in (("alpha", a), ("sigma", s)):
-            acc = 0
-            for m in range(nmask):
-                sub, inner = m, vals[m]
-                while sub:
-                    sub = (sub - 1) & m
-                    inner += vals[sub]
-                    if sub == 0:
-                        break
-                acc += (-1) ** (k - bits[m]) * inner
-            checks.append((f"invert-{name}", vals[full], acc))
-        for _, expected, actual in checks:
-            if expected != actual:
-                failures.append(_failure(edges, expected, actual))
-                break
-    return failures
+            sub, inner = m, vals[m]
+            while sub:
+                sub = (sub - 1) & m
+                inner += vals[sub]
+                if sub == 0:
+                    break
+            acc += (-1) ** (k - bits[m]) * inner
+        checks.append((vals[full], acc))
+    return next(((want, got) for want, got in checks if want != got), None)
 
 
 def verify_mobius_equiv(n: int, k: int, cap=None, jobs: int = 1) -> VerificationReport:
     """The inclusion-exclusion bridge between the two subgraph-sum identities,
     run as data: the alternating reweighting maps one to the other, and the
     subset transform inverts."""
-    t0 = time.perf_counter()
-    total = (n * n) ** k
-    check_cap(total * 3 ** k, cap)
-    failures = _run_chunked(_mobius_worker, (n, k), total, jobs)
-    return _report("mobius", {"n": n, "k": k}, failures, total, t0)
+    return _enumerate("mobius", _mobius_case, n, k, 3 ** k, cap, jobs)
 
 
-def verify_diag(n: int, k: int, I=(), cap=None, jobs: int = 1) -> VerificationReport:
+def verify_diag(n: int, k: int, I=(), cap=None) -> VerificationReport:
     """Laplace image of the diagonal minor element against the plain sum of
     acyclic graphs with sink set I, as exact formal sums."""
     t0 = time.perf_counter()
     iso = frozenset(I)
     lhs = laplace(universal_det(n, k, iso, cap=cap))
     rhs = Fraction((-1) ** n, factorial(k)) * class_sum(n, k, "AC", iso, cap=cap)
-    failures = _sum_diff(lhs, rhs)
-    total = _compared(lhs, rhs)
+    failures, total = _sum_diff(lhs, rhs)
     return _report("diag", {"n": n, "k": k, "I": sorted(iso)}, failures, total, t0)
 
 
-def verify_codim1(n: int, k: int, i: int, j: int, cap=None, jobs: int = 1) -> VerificationReport:
+def verify_codim1(n: int, k: int, i: int, j: int, cap=None) -> VerificationReport:
     """Laplace image of the (i,j)-minor element against the acyclic graphs
     whose only sink is i."""
     t0 = time.perf_counter()
     lhs = laplace(universal_codim1(n, k, i, j, cap=cap))
     rhs = Fraction((-1) ** n, factorial(k)) * class_sum(n, k, "AC", (i,), cap=cap)
-    failures = _sum_diff(lhs, rhs)
-    total = _compared(lhs, rhs)
+    failures, total = _sum_diff(lhs, rhs)
     return _report("codim1", {"n": n, "k": k, "i": i, "j": j}, failures, total, t0)
 
 
@@ -325,7 +339,7 @@ def _probe_sign(lhs, rhs_of_sign) -> tuple[str, int | None, bool]:
     return "fail", None, False
 
 
-def verify_expansion(n: int, k: int, cap=None, jobs: int = 1) -> VerificationReport:
+def verify_expansion(n: int, k: int, cap=None) -> VerificationReport:
     """Sign-probed row/column expansion: the degree-k determinant element
     against (1/k) times the sum of edge-augmented degree-(k-1) minors."""
     if k < 1:
@@ -341,8 +355,9 @@ def verify_expansion(n: int, k: int, cap=None, jobs: int = 1) -> VerificationRep
             )
     rhs_base = Fraction(1, k) * total_sum
     status, sign, literal = _probe_sign(lhs, lambda s: Fraction(s) * rhs_base)
-    failures = [] if status != "fail" else _sum_diff(lhs, Fraction(-1) * rhs_base)
-    total = _compared(lhs, rhs_base)
+    failures, total = _sum_diff(lhs, Fraction(-1) * rhs_base)
+    if status != "fail":
+        failures = []
     notes = (f"literal (+1) phrasing holds: {literal}",)
     return _report(
         "expansion", {"n": n, "k": k}, failures, total, t0,
@@ -350,7 +365,7 @@ def verify_expansion(n: int, k: int, cap=None, jobs: int = 1) -> VerificationRep
     )
 
 
-def verify_derivative(n: int, k: int, i: int, m: int, cap=None, jobs: int = 1) -> VerificationReport:
+def verify_derivative(n: int, k: int, i: int, m: int, cap=None) -> VerificationReport:
     """Sign-probed diagonal-derivative law: the m-fold partial derivative of
     the paired determinant in w[i,i] against s^m times the paired sum of the
     two smaller determinant elements."""
@@ -374,7 +389,7 @@ def verify_derivative(n: int, k: int, i: int, m: int, cap=None, jobs: int = 1) -
     )
 
 
-def verify_minor_pairing(n: int, cap=None, jobs: int = 1) -> VerificationReport:
+def verify_minor_pairing(n: int, cap=None) -> VerificationReport:
     """Signed pairing laws: the paired diagonal I-minor element equals
     (-1)^|I| times the matrix minor, and the paired (i,j) element equals
     (-1)^(i+j+1) times the (i,j) matrix minor, fully symbolically."""
@@ -437,7 +452,7 @@ def rooted_forest_poly(n: int, roots) -> MultiPoly:
     return total
 
 
-def verify_kirchhoff_diag(n: int, I, cap=None, jobs: int = 1) -> VerificationReport:
+def verify_kirchhoff_diag(n: int, I, cap=None) -> VerificationReport:
     """Classical diagonal-minor law for the zero-row-sum matrix, against the
     forest sum produced both by the graph-class enumeration and by the
     independent functional forest oracle."""
@@ -447,8 +462,7 @@ def verify_kirchhoff_diag(n: int, I, cap=None, jobs: int = 1) -> VerificationRep
     t0 = time.perf_counter()
     s = len(iso)
     k = n - s
-    W = WeightMatrix.symbolic(n)
-    Wh = laplace_matrix(W)
+    W, Wh = _matrices(n)
     ac = class_sum(n, k, "AC", iso, cap=cap)
     paired = pairing(W, ac)
     failures = []
@@ -474,15 +488,15 @@ def verify_kirchhoff_diag(n: int, I, cap=None, jobs: int = 1) -> VerificationRep
     )
 
 
-def verify_kirchhoff_codim1(n: int, i: int, j: int, cap=None, jobs: int = 1) -> VerificationReport:
+def verify_kirchhoff_codim1(n: int, i: int, j: int, cap=None) -> VerificationReport:
     """Off-diagonal minor of the zero-row-sum matrix against the sum over
     trees directed towards vertex i, with the derived sign (-1)^(i+j+n-1);
     also records whether the classical (-1)^(n-1) phrasing holds."""
     if i == j:
         raise ValueError("need i != j")
     t0 = time.perf_counter()
-    W = WeightMatrix.symbolic(n)
-    Wh = laplace_matrix(W)
+    check_cap(n ** (n - 1), cap)  # the oracle's head functions
+    W, Wh = _matrices(n)
     trees = rooted_forest_poly(n, {i})
     lhs = minor(Wh, {i}, {j})
     rhs = Fraction((-1) ** (i + j + n - 1)) * trees
@@ -498,49 +512,38 @@ def verify_kirchhoff_codim1(n: int, i: int, j: int, cap=None, jobs: int = 1) -> 
     )
 
 
-def _specval_worker(args) -> list[dict]:
-    n, k, lo, hi = args
-    etypes = undirected_edge_types(n)
-    failures = []
-    for idx in range(lo, hi):
-        edges = _edges_at(idx, k, etypes)
-        u = UndirectedGraph(n, edges)
-        b0 = _classify_key(n, tuple(sorted(edges))).beta0
-        loops = sum(1 for a, b in edges if a == b)
-        ssc_count = count_orientations(u, "SSC")
-        ac_count = count_orientations(u, "AC")
-        z_m1_1 = potts_value(u, -1, 1)
-        z_m1_m1 = potts_value(u, -1, -1)
-        checks = [
-            (Fraction((-1) ** b0 * 2 ** loops * ssc_count), z_m1_1),
-            (Fraction((-1) ** n * ac_count), z_m1_m1),
-            (Fraction(ssc_count), Fraction((-1) ** b0) * potts_value(shave(u), -1, 1)),
-        ]
-        for expected, actual in checks:
-            if expected != actual:
-                failures.append(_failure(edges, expected, actual))
-                break
-    return failures
+def _specval_case(n, k, edges):
+    u = UndirectedGraph(n, edges)
+    b0 = _classify_key(n, tuple(sorted(edges))).beta0
+    loops = sum(1 for a, b in edges if a == b)
+    ssc_count = count_orientations(u, "SSC")
+    ac_count = count_orientations(u, "AC")
+    z_m1_1 = potts_value(u, -1, 1)
+    z_m1_m1 = potts_value(u, -1, -1)
+    checks = [
+        (Fraction((-1) ** b0 * 2 ** loops * ssc_count), z_m1_1),
+        (Fraction((-1) ** n * ac_count), z_m1_m1),
+        (Fraction(ssc_count), Fraction((-1) ** b0) * potts_value(shave(u), -1, 1)),
+    ]
+    return next(((want, got) for want, got in checks if want != got), None)
 
 
 def verify_specval(n: int, k: int, cap=None, jobs: int = 1) -> VerificationReport:
     """Partition-function special values against brute-force orientation
     counts, plus the loop-shaving corollary, over every undirected graph."""
-    t0 = time.perf_counter()
-    total = (n * (n + 1) // 2) ** k
-    check_cap(total * (2 ** k) * 2, cap)
-    failures = _run_chunked(_specval_worker, (n, k), total, jobs)
-    return _report("specval", {"n": n, "k": k}, failures, total, t0)
+    return _enumerate(
+        "specval", _specval_case, n, k, 2 ** k * 2, cap, jobs, undirected_edge_types
+    )
 
 
-def verify_lapl_tutte(n: int, k: int, cap=None, jobs: int = 1) -> VerificationReport:
+def verify_lapl_tutte(n: int, k: int, cap=None) -> VerificationReport:
     """Laplace image of the shaved universal partition-function element at
     (-1,1) against (-1)^k times the plain element at (-1,-1), and loop-free
     support of both sides."""
     t0 = time.perf_counter()
     lhs = laplace(universal_potts(n, k, -1, 1, shaved=True, cap=cap))
     rhs = Fraction((-1) ** k) * universal_potts(n, k, -1, -1, shaved=False, cap=cap)
-    failures = _sum_diff(lhs, rhs)
+    failures, _ = _sum_diff(lhs, rhs)
     for side in (lhs, rhs):
         for g in side.support():
             if any(a == b for a, b in g.edges):
@@ -549,7 +552,7 @@ def verify_lapl_tutte(n: int, k: int, cap=None, jobs: int = 1) -> VerificationRe
     return _report("lapl_tutte", {"n": n, "k": k}, failures, total, t0)
 
 
-def verify_theta(n: int, cap=None, jobs: int = 1) -> VerificationReport:
+def verify_theta(n: int, cap=None) -> VerificationReport:
     """The asserted graded identity: Laplace image of the mixed-degree
     element equals -2 times the sum of ALL (n-1)-edge acyclic graphs, with a
     vanishing top part.
@@ -572,9 +575,10 @@ def verify_theta(n: int, cap=None, jobs: int = 1) -> VerificationReport:
     failures = []
     hi = lt.part(n + 1)
     if not hi.is_zero:
-        failures.extend(_sum_diff(hi, SymmetricSum.zero(n, n + 1)))
+        failures.extend(_sum_diff(hi, SymmetricSum.zero(n, n + 1))[0])
     expected_low = Fraction(-2) * class_sum(n, n - 1, "AC", None, cap=cap)
-    failures.extend(_sum_diff(lt.part(n - 1), expected_low))
+    low_failures, total = _sum_diff(lt.part(n - 1), expected_low)
+    failures.extend(low_failures)
 
     notes = [f"top-degree part vanishes: {hi.is_zero}"]
 
@@ -595,8 +599,7 @@ def verify_theta(n: int, cap=None, jobs: int = 1) -> VerificationReport:
     notes.append(f"derived componentwise image holds: {lt.part(n - 1) == derived}")
 
     # Pairing consequence with the symbolic zero-row-sum matrix.
-    W = WeightMatrix.symbolic(n)
-    Wh = laplace_matrix(W)
+    W, Wh = _matrices(n)
     paired = MultiPoly.zero()
     for deg in th.degrees():
         paired = paired + pairing(Wh, th.part(deg))
@@ -609,60 +612,47 @@ def verify_theta(n: int, cap=None, jobs: int = 1) -> VerificationReport:
                 law = law - MultiPoly.variable(w(i, j)) * minor(Wh, {i, j}, {i, j})
     notes.append(f"diagonal minor-sum pairing law holds: {paired == law}")
 
-    total = _compared(lt.part(n - 1), expected_low)
     return _report("theta", {"n": n}, failures, total, t0, notes=notes)
 
 
-def _operator_worker(args) -> list[dict]:
-    n, k, lo, hi = args
-    etypes = directed_edge_types(n)
-    W = WeightMatrix.symbolic(n)
-    Wh = laplace_matrix(W)
-    failures = []
-    for idx in range(lo, hi):
-        edges = _edges_at(idx, k, etypes)
-        g = DirectedGraph(n, edges)
-        s = FormalSum.single(g)
-        bad = None
-        singles = [b_op(p, s) for p in range(1, k + 1)]
+def _operator_case(n, k, edges):
+    W, Wh = _matrices(n)
+    g = DirectedGraph(n, edges)
+    s = FormalSum.single(g)
+    bad = None
+    singles = [b_op(p, s) for p in range(1, k + 1)]
+    for p in range(1, k + 1):
+        if b_op(p, singles[p - 1]) != singles[p - 1]:
+            bad = ("idempotent", p)
+            break
+    if bad is None:
         for p in range(1, k + 1):
-            if b_op(p, singles[p - 1]) != singles[p - 1]:
-                bad = ("idempotent", p)
+            for q in range(p + 1, k + 1):
+                if b_op(q, singles[p - 1]) != b_op(p, singles[q - 1]):
+                    bad = ("commute", (p, q))
+                    break
+            if bad:
                 break
-        if bad is None:
-            for p in range(1, k + 1):
-                for q in range(p + 1, k + 1):
-                    if b_op(q, singles[p - 1]) != b_op(p, singles[q - 1]):
-                        bad = ("commute", (p, q))
-                        break
-                if bad:
-                    break
-        ds = laplace(s)
-        if bad is None and laplace(ds) != ds:
-            bad = ("laplace-idempotent", None)
-        if bad is None:
-            gsinks = classify(g).sinks
-            for h in ds.support():
-                ch = classify(h)
-                if ch.loop_count or ch.sinks != gsinks:
-                    bad = ("support", h)
-                    break
-        if bad is None and pairing(Wh, s) != pairing(W, ds):
-            bad = ("pairing", None)
-        if bad is not None:
-            failures.append(_failure(edges, f"law:{bad[0]}", "violated"))
-    return failures
+    ds = laplace(s)
+    if bad is None and laplace(ds) != ds:
+        bad = ("laplace-idempotent", None)
+    if bad is None:
+        gsinks = classify(g).sinks
+        for h in ds.support():
+            ch = classify(h)
+            if ch.loop_count or ch.sinks != gsinks:
+                bad = ("support", h)
+                break
+    if bad is None and pairing(Wh, s) != pairing(W, ds):
+        bad = ("pairing", None)
+    return None if bad is None else (f"law:{bad[0]}", "violated")
 
 
 def verify_operator_laws(n: int, k: int, cap=None, jobs: int = 1) -> VerificationReport:
     """Position operators are commuting idempotents, the Laplace operator is
     idempotent with loop-free sink-preserving output, and pairing with the
     zero-row-sum matrix factors through it; on the full graph basis."""
-    t0 = time.perf_counter()
-    total = (n * n) ** k
-    check_cap(total * (k * k + 2), cap)
-    failures = _run_chunked(_operator_worker, (n, k), total, jobs)
-    return _report("operator_laws", {"n": n, "k": k}, failures, total, t0)
+    return _enumerate("operator_laws", _operator_case, n, k, k * k + 2, cap, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +682,6 @@ class SuiteConfig:
     max_k: int = 4
     jobs: int = 1
     cap: int | None = None
-    include_theta: bool = True
 
     def __post_init__(self):
         if self.max_n < 1 or self.max_k < 0 or self.jobs < 1:
@@ -732,16 +721,20 @@ def suite_cells(config: SuiteConfig) -> list[tuple[str, dict]]:
                 for j in range(1, n + 1):
                     if i != j:
                         cells.append(("kirchhoff_codim1", {"n": n, "i": i, "j": j}))
-        if config.include_theta and 2 <= n <= 4:
+        if 2 <= n <= 4:
             cells.append(("theta", {"n": n}))
     return cells
 
 
 def run_check(name: str, params: dict, cap=None, jobs: int = 1) -> VerificationReport:
+    """Run one check; ``jobs`` reaches only the checks that split their
+    enumeration into chunks."""
     fn = CHECK_FUNCTIONS.get(name)
     if fn is None:
         raise KeyError(f"unknown check {name!r}")
-    return fn(**params, cap=cap, jobs=jobs)
+    if "jobs" in inspect.signature(fn).parameters:
+        params = {**params, "jobs": jobs}
+    return fn(**params, cap=cap)
 
 
 def run_suite(config: SuiteConfig) -> list[VerificationReport]:

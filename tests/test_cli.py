@@ -6,6 +6,7 @@ import pytest
 
 from graphdet import parse_formal_sum, universal_det
 from graphdet.cli import main
+from graphdet.verify import CHECK_FUNCTIONS, run_check
 
 
 def run(capsys, *argv):
@@ -153,6 +154,68 @@ def test_verify_json_report(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert payload[0]["check"] == "direct" and payload[0]["status"] == "pass"
+
+
+# One cell of every check: the verify flags, and the parameters they set.
+VERIFY_CELLS = [
+    ("direct", ["--n", "2", "--k", "2"], {"n": 2, "k": 2}),
+    ("direct-prime", ["--n", "2", "--k", "3"], {"n": 2, "k": 3}),
+    ("mobius", ["--n", "2", "--k", "2"], {"n": 2, "k": 2}),
+    ("diag", ["--n", "2", "--k", "2", "--sinks", "1"], {"n": 2, "k": 2, "I": [1]}),
+    ("codim1", ["--n", "3", "--k", "2", "--minor", "1/2"],
+     {"n": 3, "k": 2, "i": 1, "j": 2}),
+    ("expansion", ["--n", "2", "--k", "2"], {"n": 2, "k": 2}),
+    ("derivative", ["--n", "2", "--k", "2", "--minor", "2/2", "--m", "1"],
+     {"n": 2, "k": 2, "i": 2, "m": 1}),
+    ("minor-pairing", ["--n", "2"], {"n": 2}),
+    ("kirchhoff-diag", ["--n", "3", "--isolated", "1,3"], {"n": 3, "I": [1, 3]}),
+    ("kirchhoff-codim1", ["--n", "3", "--minor", "1/2"], {"n": 3, "i": 1, "j": 2}),
+    ("specval", ["--n", "2", "--k", "2"], {"n": 2, "k": 2}),
+    ("lapl-tutte", ["--n", "2", "--k", "2"], {"n": 2, "k": 2}),
+    ("theta", ["--n", "3"], {"n": 3}),
+    ("operator-laws", ["--n", "2", "--k", "2", "--jobs", "2"], {"n": 2, "k": 2}),
+]
+
+
+def test_verify_cells_cover_every_check():
+    assert {c.replace("-", "_") for c, _, _ in VERIFY_CELLS} == set(CHECK_FUNCTIONS)
+
+
+@pytest.mark.parametrize(
+    "check, flags, params", VERIFY_CELLS, ids=[c for c, _, _ in VERIFY_CELLS]
+)
+def test_verify_flags_match_run_check(tmp_path, capsys, check, flags, params):
+    out_path = tmp_path / "r.json"
+    code, _, _ = run(capsys, "verify", check, *flags, "--json", str(out_path))
+    [got] = json.loads(out_path.read_text())
+    want = run_check(check.replace("-", "_"), params).to_json_dict()
+    got.pop("elapsed_ms")
+    want.pop("elapsed_ms")
+    assert got == want
+    assert code == (0 if want["status"] != "fail" else 1)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["theta"], "--n"),
+    (["direct", "--n", "2"], "--k"),
+    (["codim1", "--n", "2", "--k", "1"], "--minor i/j"),
+    (["kirchhoff-diag", "--n", "3"], "--sinks"),
+    (["derivative", "--n", "2", "--k", "2", "--m", "1"], "--minor i/i"),
+    (["derivative", "--n", "2", "--k", "2", "--minor", "1/1"], "--m"),
+    (["derivative", "--n", "2", "--k", "2", "--minor", "1/2", "--m", "1"],
+     "a diagonal --minor i/i"),
+], ids=["theta", "direct", "codim1", "kirchhoff-diag", "derivative-minor", "derivative-m",
+        "derivative-off-diagonal"])
+def test_verify_missing_flag_exits_2(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.rstrip().endswith(f"needs {flag}")
+
+
+def test_verify_kirchhoff_codim1_cap_exits_3(capsys):
+    code, _, _ = run(capsys, "verify", "kirchhoff-codim1", "--n", "6", "--minor", "1/2",
+                     "--cap", "5")
+    assert code == 3
 
 
 def test_suite_json_and_exit(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """The identity checks: small-case outcomes, report shape, determinism."""
 
+import inspect
 import json
 
 import pytest
 
 from graphdet.graphs import CapExceeded
 from graphdet.verify import (
+    CHECK_FUNCTIONS,
     SuiteConfig,
     rooted_forest_poly,
     run_check,
@@ -174,15 +176,25 @@ def test_run_check_dispatch():
         run_check("nonsense", {})
 
 
+def test_run_check_passes_jobs_only_to_chunking_checks():
+    r = run_check("diag", {"n": 2, "k": 1, "I": (2,)}, jobs=2)
+    assert r.check == "diag" and r.ok
+    chunking = {
+        name for name, fn in CHECK_FUNCTIONS.items()
+        if "jobs" in inspect.signature(fn).parameters
+    }
+    assert chunking == {"direct", "direct_prime", "mobius", "specval", "operator_laws"}
+
+
 def test_suite_small_grid():
-    cfg = SuiteConfig(max_n=2, max_k=1, include_theta=False)
+    cfg = SuiteConfig(max_n=2, max_k=1)
     reports = run_suite(cfg)
     assert len(reports) == len(suite_cells(cfg))
     assert all(r.ok for r in reports if r.status != "skipped")
 
 
 def test_suite_marks_capped_cells_skipped():
-    cfg = SuiteConfig(max_n=2, max_k=2, cap=5, include_theta=False)
+    cfg = SuiteConfig(max_n=2, max_k=2, cap=5)
     reports = run_suite(cfg)
     assert any(r.status == "skipped" for r in reports)
     for r in reports:
