@@ -198,8 +198,8 @@ def cmd_verify(args) -> int:
         raise SystemExit2(
             f"unknown check {args.check!r}; known: {', '.join(sorted(CHECK_FUNCTIONS))}"
         )
-    # The check's signature says what it takes; a parameter without a
-    # default must be given.
+    # The check's signature says what it takes: a parameter without a
+    # default must be given, and a flag setting no parameter is refused.
     sig = inspect.signature(CHECK_FUNCTIONS[name]).parameters
     diagonal = "i" in sig and "j" not in sig  # the check takes an entry i/i
     flags = dict(_CHECK_FLAGS, i="--minor i/i") if diagonal else _CHECK_FLAGS
@@ -210,6 +210,11 @@ def cmd_verify(args) -> int:
         given["i"], given["j"] = _parse_minor(args.minor)
         if diagonal and given["i"] != given["j"]:
             raise SystemExit2(f"check {args.check!r} needs a diagonal --minor i/i")
+    unused = [flags[p] for p, v in given.items()
+              if v is not None and p not in sig and not (diagonal and p == "j")]
+    if unused:
+        extra = ", ".join(dict.fromkeys(unused))
+        raise SystemExit2(f"check {args.check!r} takes no {extra}")
     params = {p: given[p] for p in sig if given.get(p) is not None}
     missing = [flags[p] for p, spec in sig.items()
                if p in flags and p not in params and spec.default is spec.empty]

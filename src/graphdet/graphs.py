@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 DEFAULT_CAP = 10_000_000
@@ -415,6 +416,13 @@ def enumerate_class(
                 yield g
 
 
+@lru_cache(maxsize=None)
+def subset_positions(k: int) -> tuple[tuple[int, ...], ...]:
+    """The 0-based edge positions kept by each of the 2^k bit masks, in mask
+    order; the last mask keeps all k."""
+    return tuple(tuple(p for p in range(k) if m >> p & 1) for m in range(2 ** k))
+
+
 def subgraphs(
     g: DirectedGraph, cap: int | None = None
 ) -> Iterator[tuple[DirectedGraph, tuple[int, ...]]]:
@@ -422,12 +430,10 @@ def subgraphs(
 
     Yields (subgraph, kept positions); all n vertices are retained.
     """
-    k = g.k
-    check_cap(2 ** k, cap)
-    for mask in range(2 ** k):
-        kept = tuple(p for p in range(1, k + 1) if mask >> (p - 1) & 1)
-        edges = tuple(g.edges[p - 1] for p in kept)
-        yield type(g)(g.n, edges), kept
+    check_cap(2 ** g.k, cap)
+    for pos in subset_positions(g.k):
+        edges = tuple(g.edges[p] for p in pos)
+        yield type(g)(g.n, edges), tuple(p + 1 for p in pos)
 
 
 def forget(g: DirectedGraph) -> UndirectedGraph:

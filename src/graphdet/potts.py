@@ -23,18 +23,17 @@ from .graphs import (
     classify,
     enumerate_undirected,
     orientations,
+    subset_positions,
 )
 from .poly import MultiPoly, Q, V, X, Y
 
 
 def _subset_counts(u: UndirectedGraph, cap: int | None) -> dict[tuple[int, int], int]:
     """How many edge subsets of u have each (components, size) pair."""
-    k = u.k
-    check_cap(2 ** k, cap)
+    check_cap(2 ** u.k, cap)
     counts: dict = {}
-    for mask in range(2 ** k):
-        sub = tuple(u.edges[p] for p in range(k) if mask >> p & 1)
-        key = (_beta0(u.n, sub), len(sub))
+    for pos in subset_positions(u.k):
+        key = (_beta0(u.n, tuple(u.edges[p] for p in pos)), len(pos))
         counts[key] = counts.get(key, 0) + 1
     return counts
 

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 
 from .algebra import (
@@ -28,6 +28,7 @@ from .algebra import (
     SymmetricSum,
     class_sum,
     concat_product,
+    distinct_permutations,
     theta,
     universal_codim1,
     universal_det,
@@ -39,6 +40,7 @@ from .graphs import (
     check_cap,
     classify,
     directed_edge_types,
+    subset_positions,
     undirected_edge_types,
 )
 from .laplace import b_op, laplace
@@ -148,61 +150,29 @@ def _report(check, params, failures, total, t0, sign=None, notes=(), status=None
 
 
 # ---------------------------------------------------------------------------
-# Worker plumbing: big flat enumerations are split into index ranges; each
-# chunk returns its failure list and the chunks are merged in order, so the
-# payload is independent of the worker count.
+# Whole-domain enumeration.  The subgraph-sum and special-value identities
+# depend on a graph only through its edge multiset, so their case functions
+# run once per multiset and a mismatch is reported for every ordering of it.
 
 
-def _chunks(total: int, jobs: int) -> list[tuple[int, int]]:
-    if total == 0:
-        return []
-    if jobs <= 1 or total < _WORKER_THRESHOLD:
-        return [(0, total)]
-    size = -(-total // jobs)
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
-def _run_chunked(fn, args: tuple, total: int, jobs: int) -> list[dict]:
-    chunks = _chunks(total, jobs)
-    tasks = [args + (lo, hi) for lo, hi in chunks]
-    if len(tasks) <= 1 or jobs <= 1:
-        parts = [fn(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(fn, tasks))
-    failures: list[dict] = []
-    for p in parts:
-        failures.extend(p)
-    return failures
-
-
-def _edges_at(idx: int, k: int, etypes: list) -> tuple:
-    """Edge sequence number idx in the lexicographic enumeration."""
-    base = len(etypes)
-    out = []
-    for _ in range(k):
-        idx, d = divmod(idx, base)
-        out.append(etypes[d])
-    out.reverse()
-    return tuple(out)
-
-
-def _alpha_of(n: int, subset_key: tuple) -> int:
-    c = _classify_key(n, subset_key)
-    return (-1) ** len(subset_key) if c.acyclic else 0
-
-
-def _sigma_of(n: int, subset_key: tuple) -> int:
-    c = _classify_key(n, subset_key)
-    return (-1) ** c.beta1 if c.strongly_semiconnected else 0
-
-
-@lru_cache(maxsize=None)
-def _subsets(k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Per bit mask of the k edge positions: the positions it keeps, and
-    their count."""
-    positions = tuple(tuple(p for p in range(k) if m >> p & 1) for m in range(2 ** k))
-    return positions, tuple(len(pos) for pos in positions)
+def _enumerate(
+    check, case, n, k, per_case, cap, edge_types=directed_edge_types
+) -> VerificationReport:
+    """Run ``case(n, k, multiset)``, which returns None or the (expected,
+    actual) pair of a mismatch, on every k-edge multiset over
+    ``edge_types(n)``.  Failures are listed per edge sequence, in
+    enumeration order; the cap counts ``per_case`` units per sequence."""
+    t0 = time.perf_counter()
+    etypes = edge_types(n)
+    total = len(etypes) ** k
+    check_cap(total * per_case, cap)
+    failures = []
+    for multiset in combinations_with_replacement(etypes, k):
+        bad = case(n, k, multiset)
+        if bad is not None:
+            failures.extend(_failure(seq, *bad) for seq in distinct_permutations(multiset))
+    failures.sort(key=lambda f: f["graph"])
+    return _report(check, {"n": n, "k": k}, failures, total, t0)
 
 
 @lru_cache(maxsize=None)
@@ -212,95 +182,55 @@ def _matrices(n: int) -> tuple[WeightMatrix, WeightMatrix]:
     return W, laplace_matrix(W)
 
 
-def _case_worker(args) -> list[dict]:
-    """Failures of one index range: ``case(n, k, edges)`` returns None or
-    the (expected, actual) pair of a mismatching graph."""
-    case, n, k, etypes, lo, hi = args
-    failures = []
-    for idx in range(lo, hi):
-        edges = _edges_at(idx, k, etypes)
-        bad = case(n, k, edges)
-        if bad is not None:
-            failures.append(_failure(edges, *bad))
-    return failures
+def _subset_signs(n: int, k: int, edges: tuple) -> tuple[list[int], list[int]]:
+    """The acyclicity sign alpha and the semiconnectivity sign sigma of the
+    subgraph each of the 2^k position subsets keeps, in bit-mask order; the
+    last entry is the whole graph."""
+    alpha, sigma = [], []
+    for pos in subset_positions(k):
+        c = _classify_key(n, tuple(sorted(edges[p] for p in pos)))
+        alpha.append((-1) ** len(pos) if c.acyclic else 0)
+        sigma.append((-1) ** c.beta1 if c.strongly_semiconnected else 0)
+    return alpha, sigma
 
 
-def _enumerate(
-    check, case, n, k, per_case, cap, jobs, edge_types=directed_edge_types
-) -> VerificationReport:
-    """Run ``case`` on every k-edge sequence over ``edge_types(n)``, in
-    chunks; the cap counts ``per_case`` units of work per sequence."""
-    t0 = time.perf_counter()
-    etypes = edge_types(n)
-    total = len(etypes) ** k
-    check_cap(total * per_case, cap)
-    failures = _run_chunked(_case_worker, (case, n, k, etypes), total, jobs)
-    return _report(check, {"n": n, "k": k}, failures, total, t0)
-
-
-def _subgraph_sum_case(n, k, edges, inner, outer):
-    lhs = 0
-    for pos in _subsets(k)[0]:
-        lhs += inner(n, tuple(sorted(edges[p] for p in pos)))
-    rhs = (-1) ** k * outer(n, tuple(sorted(edges)))
-    return None if lhs == rhs else (rhs, lhs)
-
-
-def _direct_case(n, k, edges):
-    return _subgraph_sum_case(n, k, edges, _alpha_of, _sigma_of)
-
-
-def _direct_prime_case(n, k, edges):
-    return _subgraph_sum_case(n, k, edges, _sigma_of, _alpha_of)
-
-
-def verify_direct(n: int, k: int, cap=None, jobs: int = 1) -> VerificationReport:
-    """Sum of the acyclicity sign over all subgraphs against the
-    semiconnectivity sign of the whole graph, for every (n,k) graph."""
-    return _enumerate("direct", _direct_case, n, k, 2 ** k, cap, jobs)
-
-
-def verify_direct_prime(n: int, k: int, cap=None, jobs: int = 1) -> VerificationReport:
-    """The companion identity with the two graph signs exchanged."""
-    return _enumerate("direct_prime", _direct_prime_case, n, k, 2 ** k, cap, jobs)
-
-
-def _mobius_case(n, k, edges):
-    positions, bits = _subsets(k)
-    nmask = len(positions)
-    a = [0] * nmask
-    s = [0] * nmask
-    for m in range(nmask):
-        key = tuple(sorted(edges[p] for p in positions[m]))
-        a[m] = _alpha_of(n, key)
-        s[m] = _sigma_of(n, key)
-    full = nmask - 1
-    checks = []
-    # The reweighted subset transform carries one sign to the other ...
-    lhs = sum((-1) ** (k - bits[m]) * (-1) ** bits[m] * a[m] for m in range(nmask))
-    checks.append((s[full], lhs))
-    lhs = sum((-1) ** (k - bits[m]) * (-1) ** bits[m] * s[m] for m in range(nmask))
-    checks.append((a[full], lhs))
-    # ... and inverting the plain subset transform returns the input.
-    for vals in (a, s):
-        acc = 0
-        for m in range(nmask):
-            sub, inner = m, vals[m]
-            while sub:
-                sub = (sub - 1) & m
-                inner += vals[sub]
-                if sub == 0:
-                    break
-            acc += (-1) ** (k - bits[m]) * inner
-        checks.append((vals[full], acc))
+def _first_mismatch(checks):
     return next(((want, got) for want, got in checks if want != got), None)
 
 
-def verify_mobius_equiv(n: int, k: int, cap=None, jobs: int = 1) -> VerificationReport:
-    """The inclusion-exclusion bridge between the two subgraph-sum identities,
-    run as data: the alternating reweighting maps one to the other, and the
-    subset transform inverts."""
-    return _enumerate("mobius", _mobius_case, n, k, 3 ** k, cap, jobs)
+def _direct_case(n, k, edges):
+    alpha, sigma = _subset_signs(n, k, edges)
+    return _first_mismatch([((-1) ** k * sigma[-1], sum(alpha))])
+
+
+def _direct_prime_case(n, k, edges):
+    alpha, sigma = _subset_signs(n, k, edges)
+    return _first_mismatch([((-1) ** k * alpha[-1], sum(sigma))])
+
+
+def verify_direct(n: int, k: int, cap=None) -> VerificationReport:
+    """Sum of the acyclicity sign over all subgraphs against the
+    semiconnectivity sign of the whole graph, for every (n,k) graph."""
+    return _enumerate("direct", _direct_case, n, k, 2 ** k, cap)
+
+
+def verify_direct_prime(n: int, k: int, cap=None) -> VerificationReport:
+    """The companion identity with the two graph signs exchanged."""
+    return _enumerate("direct_prime", _direct_prime_case, n, k, 2 ** k, cap)
+
+
+def _mobius_case(n, k, edges):
+    alpha, sigma = _subset_signs(n, k, edges)
+    return _first_mismatch([
+        (sigma[-1], (-1) ** k * sum(alpha)),
+        (alpha[-1], (-1) ** k * sum(sigma)),
+    ])
+
+
+def verify_mobius_equiv(n: int, k: int, cap=None) -> VerificationReport:
+    """Both subgraph-sum identities read off one sign table per graph: each
+    whole-graph sign is (-1)^k times the subgraph sum of the other."""
+    return _enumerate("mobius", _mobius_case, n, k, 2 ** k, cap)
 
 
 def verify_diag(n: int, k: int, I=(), cap=None) -> VerificationReport:
@@ -520,19 +450,18 @@ def _specval_case(n, k, edges):
     ac_count = count_orientations(u, "AC")
     z_m1_1 = potts_value(u, -1, 1)
     z_m1_m1 = potts_value(u, -1, -1)
-    checks = [
+    return _first_mismatch([
         (Fraction((-1) ** b0 * 2 ** loops * ssc_count), z_m1_1),
         (Fraction((-1) ** n * ac_count), z_m1_m1),
         (Fraction(ssc_count), Fraction((-1) ** b0) * potts_value(shave(u), -1, 1)),
-    ]
-    return next(((want, got) for want, got in checks if want != got), None)
+    ])
 
 
-def verify_specval(n: int, k: int, cap=None, jobs: int = 1) -> VerificationReport:
+def verify_specval(n: int, k: int, cap=None) -> VerificationReport:
     """Partition-function special values against brute-force orientation
     counts, plus the loop-shaving corollary, over every undirected graph."""
     return _enumerate(
-        "specval", _specval_case, n, k, 2 ** k * 2, cap, jobs, undirected_edge_types
+        "specval", _specval_case, n, k, 2 ** k * 2, cap, undirected_edge_types
     )
 
 
@@ -615,6 +544,59 @@ def verify_theta(n: int, cap=None) -> VerificationReport:
     return _report("theta", {"n": n}, failures, total, t0, notes=notes)
 
 
+# ---------------------------------------------------------------------------
+# The operator laws act on edge positions, so they run on every numbered
+# graph.  That domain is split into index ranges; each chunk returns its
+# failure list and the chunks are merged in order, so the payload is
+# independent of the worker count.
+
+
+def _chunks(total: int, jobs: int) -> list[tuple[int, int]]:
+    if total == 0:
+        return []
+    if jobs <= 1 or total < _WORKER_THRESHOLD:
+        return [(0, total)]
+    size = -(-total // jobs)
+    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+
+
+def _run_chunked(fn, args: tuple, total: int, jobs: int) -> list[dict]:
+    chunks = _chunks(total, jobs)
+    tasks = [args + (lo, hi) for lo, hi in chunks]
+    if len(tasks) <= 1 or jobs <= 1:
+        parts = [fn(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            parts = list(ex.map(fn, tasks))
+    failures: list[dict] = []
+    for p in parts:
+        failures.extend(p)
+    return failures
+
+
+def _edges_at(idx: int, k: int, etypes: list) -> tuple:
+    """Edge sequence number idx in the lexicographic enumeration."""
+    base = len(etypes)
+    out = []
+    for _ in range(k):
+        idx, d = divmod(idx, base)
+        out.append(etypes[d])
+    out.reverse()
+    return tuple(out)
+
+
+def _case_worker(args) -> list[dict]:
+    """Operator-law failures of one index range."""
+    n, k, etypes, lo, hi = args
+    failures = []
+    for idx in range(lo, hi):
+        edges = _edges_at(idx, k, etypes)
+        bad = _operator_case(n, k, edges)
+        if bad is not None:
+            failures.append(_failure(edges, *bad))
+    return failures
+
+
 def _operator_case(n, k, edges):
     W, Wh = _matrices(n)
     g = DirectedGraph(n, edges)
@@ -652,7 +634,12 @@ def verify_operator_laws(n: int, k: int, cap=None, jobs: int = 1) -> Verificatio
     """Position operators are commuting idempotents, the Laplace operator is
     idempotent with loop-free sink-preserving output, and pairing with the
     zero-row-sum matrix factors through it; on the full graph basis."""
-    return _enumerate("operator_laws", _operator_case, n, k, k * k + 2, cap, jobs)
+    t0 = time.perf_counter()
+    etypes = directed_edge_types(n)
+    total = len(etypes) ** k
+    check_cap(total * (k * k + 2), cap)
+    failures = _run_chunked(_case_worker, (n, k, etypes), total, jobs)
+    return _report("operator_laws", {"n": n, "k": k}, failures, total, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +714,8 @@ def suite_cells(config: SuiteConfig) -> list[tuple[str, dict]]:
 
 
 def run_check(name: str, params: dict, cap=None, jobs: int = 1) -> VerificationReport:
-    """Run one check; ``jobs`` reaches only the checks that split their
-    enumeration into chunks."""
+    """Run one check; ``jobs`` reaches only the check that splits its
+    enumeration into chunks (``operator_laws``)."""
     fn = CHECK_FUNCTIONS.get(name)
     if fn is None:
         raise KeyError(f"unknown check {name!r}")

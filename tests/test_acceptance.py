@@ -86,8 +86,8 @@ def test_direct_theorems():
     cells = [(n, k) for n in (1, 2, 3) for k in range(5)] + [(4, 4)]
     ok = True
     for n, k in cells:
-        ok = ok and verify_direct(n, k, jobs=4).ok
-        ok = ok and verify_direct_prime(n, k, jobs=4).ok
+        ok = ok and verify_direct(n, k).ok
+        ok = ok and verify_direct_prime(n, k).ok
     _conclude("direct-theorems", ok, t0, budget=60)
 
 

@@ -161,7 +161,9 @@ VERIFY_CELLS = [
     ("direct", ["--n", "2", "--k", "2"], {"n": 2, "k": 2}),
     ("direct-prime", ["--n", "2", "--k", "3"], {"n": 2, "k": 3}),
     ("mobius", ["--n", "2", "--k", "2"], {"n": 2, "k": 2}),
-    ("diag", ["--n", "2", "--k", "2", "--sinks", "1"], {"n": 2, "k": 2, "I": [1]}),
+    # --jobs and --cap are accepted by every check
+    ("diag", ["--n", "2", "--k", "2", "--sinks", "1", "--jobs", "2", "--cap", "100"],
+     {"n": 2, "k": 2, "I": [1]}),
     ("codim1", ["--n", "3", "--k", "2", "--minor", "1/2"],
      {"n": 3, "k": 2, "i": 1, "j": 2}),
     ("expansion", ["--n", "2", "--k", "2"], {"n": 2, "k": 2}),
@@ -210,6 +212,18 @@ def test_verify_missing_flag_exits_2(capsys, argv, flag):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err.rstrip().endswith(f"needs {flag}")
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["theta", "--n", "2", "--k", "9"], "--k"),
+    (["theta", "--n", "2", "--k", "9", "--sinks", "1", "--m", "4"], "--k, --m, --sinks"),
+    (["diag", "--n", "2", "--k", "2", "--minor", "1/2", "--m", "3"], "--m, --minor i/j"),
+    (["direct", "--n", "2", "--k", "2", "--isolated", "1"], "--sinks"),
+], ids=["theta", "theta-three", "diag", "direct"])
+def test_verify_unused_flag_exits_2(capsys, argv, flags):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.rstrip().endswith(f"takes no {flags}")
 
 
 def test_verify_kirchhoff_codim1_cap_exits_3(capsys):

@@ -4,6 +4,7 @@ exhaustion."""
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdet import (
     DirectedGraph,
@@ -142,6 +143,25 @@ def test_isolated_subset_of_sinks_and_acyclic_laws():
 def test_ssc_two_implementations_agree():
     for g in all_small_graphs():
         assert classify(g).strongly_semiconnected == is_ssc_by_edges(g)
+
+
+@st.composite
+def larger_graphs(draw):
+    """Up to 8 edges on 5..8 vertices: closed walks, which alone give a
+    strongly semiconnected graph, plus a few stray edges, shuffled."""
+    n = draw(st.integers(5, 8))
+    vertex = st.integers(1, n)
+    edges = []
+    for walk in draw(st.lists(st.lists(vertex, min_size=1, max_size=4), max_size=3)):
+        edges.extend(zip(walk, walk[1:] + walk[:1]))
+    edges.extend(draw(st.lists(st.tuples(vertex, vertex), max_size=2)))
+    return D(n, tuple(draw(st.permutations(edges[:8]))))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(larger_graphs())
+def test_ssc_two_implementations_agree_on_larger_graphs(g):
+    assert classify(g).strongly_semiconnected == is_ssc_by_edges(g)
 
 
 def test_reachable():

@@ -1,14 +1,23 @@
 """The identity checks: small-case outcomes, report shape, determinism."""
 
+import dataclasses
 import inspect
 import json
+from itertools import product
 
 import pytest
 
-from graphdet.graphs import CapExceeded
+from graphdet import verify
+from graphdet.graphs import CapExceeded, directed_edge_types, undirected_edge_types
 from graphdet.verify import (
     CHECK_FUNCTIONS,
     SuiteConfig,
+    _chunks,
+    _direct_case,
+    _direct_prime_case,
+    _failure,
+    _mobius_case,
+    _specval_case,
     rooted_forest_poly,
     run_check,
     run_suite,
@@ -148,18 +157,55 @@ def test_failure_payload_shape():
 
 
 def test_jobs_do_not_change_payload():
-    # the (3,4) and (3,3) domains are above the chunking threshold, so
-    # jobs=8 really goes through the worker pool
-    for fn, args in [
-        (verify_direct, (3, 4)),
-        (verify_mobius_equiv, (3, 3)),
-        (verify_specval, (3, 4)),
-    ]:
-        a = fn(*args, jobs=1).to_json_dict()
-        b = fn(*args, jobs=8).to_json_dict()
-        a.pop("elapsed_ms")
-        b.pop("elapsed_ms")
-        assert a == b
+    # 4^5 = 1024 numbered graphs reach the chunking threshold, so jobs=8
+    # really goes through the worker pool
+    assert len(_chunks(4 ** 5, 8)) > 1
+    a = verify_operator_laws(2, 5, jobs=1).to_json_dict()
+    b = verify_operator_laws(2, 5, jobs=8).to_json_dict()
+    a.pop("elapsed_ms")
+    b.pop("elapsed_ms")
+    assert a == b
+
+
+MULTISET_CASES = {
+    "direct": _direct_case,
+    "direct_prime": _direct_prime_case,
+    "mobius": _mobius_case,
+}
+
+
+def test_cases_depend_only_on_the_edge_multiset():
+    # the multiset walk runs each case once, on the sorted edge tuple
+    for case in MULTISET_CASES.values():
+        for n, k in [(2, 3), (3, 2)]:
+            for seq in product(directed_edge_types(n), repeat=k):
+                assert case(n, k, seq) == case(n, k, tuple(sorted(seq)))
+    for seq in product(undirected_edge_types(3), repeat=3):
+        assert _specval_case(3, 3, seq) == _specval_case(3, 3, tuple(sorted(seq)))
+
+
+def test_multiset_walk_lists_every_failing_sequence_in_order(monkeypatch):
+    # flip strong semiconnectivity on one-loop graphs, so the identities
+    # fail on many multisets; the report must list every ordering of each,
+    # in the order of a sequence-by-sequence walk
+    classify_key = verify._classify_key
+
+    def flipped(n, key):
+        c = classify_key(n, key)
+        if c.loop_count != 1:
+            return c
+        return dataclasses.replace(c, strongly_semiconnected=not c.strongly_semiconnected)
+
+    monkeypatch.setattr(verify, "_classify_key", flipped)
+    for name, case in MULTISET_CASES.items():
+        for n, k in [(2, 3), (3, 2), (2, 4)]:
+            want = []
+            for seq in product(directed_edge_types(n), repeat=k):
+                bad = case(n, k, seq)
+                if bad is not None:
+                    want.append(_failure(seq, *bad))
+            assert want
+            assert run_check(name, {"n": n, "k": k}).failures == want
 
 
 def test_cap_guard_raises():
@@ -183,7 +229,7 @@ def test_run_check_passes_jobs_only_to_chunking_checks():
         name for name, fn in CHECK_FUNCTIONS.items()
         if "jobs" in inspect.signature(fn).parameters
     }
-    assert chunking == {"direct", "direct_prime", "mobius", "specval", "operator_laws"}
+    assert chunking == {"operator_laws"}
 
 
 def test_suite_small_grid():
