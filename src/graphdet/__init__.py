@@ -47,6 +47,6 @@ from .poly import (
     pairing,
     w,
 )
-from .potts import count_orientations, potts, shave, tutte, universal_potts
+from .potts import count_orientations, shave, tutte, universal_potts
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
 from .graphs import (
@@ -508,8 +508,9 @@ def sum_over_subgraphs(f: Callable, g: DirectedGraph, cap: int | None = None):
 #
 # Whether a graph is strongly semiconnected / acyclic, and its isolated or
 # sink set, depend only on the multiset of its edges.  So instead of walking
-# all n^(2k) sequences we walk the C(n^2+k-1, k) multisets, classify each
-# once, and keep the qualifying ones as the terms of a SymmetricSum.
+# all n^(2k) sequences we walk the C(n^2+k-1, k) multisets once per (n, k),
+# classify each once and file it by class and vertex set; every class sum
+# takes its terms from those files.
 
 
 def distinct_permutations(items: tuple) -> Iterator[tuple]:
@@ -541,31 +542,20 @@ def distinct_permutations(items: tuple) -> Iterator[tuple]:
 
 
 @lru_cache(maxsize=None)
-def _class_sum_cached(
-    n: int,
-    k: int,
-    cls: str,
-    iso: frozenset | None,
-    signed: bool,
-    edge: tuple | None = None,
-) -> SymmetricSum:
-    """Sum over the k-edge multisets M whose class test passes, +1 or
-    (-1)^beta0 each.  With ``edge`` set, the class test and the sign are
-    taken on M plus that edge; beta0 agrees with M's own whenever M plus the
-    edge is strongly semiconnected, as an edge joining two components lies
-    on no cycle."""
+def _class_walk(n: int, k: int) -> dict:
+    """Every k-edge multiset, classified once and filed with its sign
+    (-1)^beta0 under ("SSC", isolated set) if strongly semiconnected and
+    under ("AC", sink set) if acyclic; each bucket keeps walk order."""
     plus, minus = Fraction(1), Fraction(-1)
-    terms: dict = {}
+    buckets: dict = {}
     for multiset in itertools.combinations_with_replacement(directed_edge_types(n), k):
-        key = multiset if edge is None else tuple(sorted((edge,) + multiset))
-        c = _classify_key(n, key)
-        if cls == "SSC":
-            ok = c.strongly_semiconnected and (iso is None or c.isolated == iso)
-        else:
-            ok = c.acyclic and (iso is None or c.sinks == iso)
-        if ok:
-            terms[multiset] = minus if signed and c.beta0 % 2 else plus
-    return SymmetricSum(n, k, terms)
+        c = _classify_key(n, multiset)
+        sign = minus if c.beta0 % 2 else plus
+        if c.strongly_semiconnected:
+            buckets.setdefault(("SSC", c.isolated), {})[multiset] = sign
+        if c.acyclic:
+            buckets.setdefault(("AC", c.sinks), {})[multiset] = sign
+    return buckets
 
 
 def class_sum(
@@ -580,9 +570,11 @@ def class_sum(
     cls = cls.upper()
     if cls not in ("SSC", "AC"):
         raise ValueError(f"unknown graph class {cls!r}")
-    check_cap((n * n) ** k, cap)
-    iso = None if I is None else frozenset(I)
-    return _class_sum_cached(n, k, cls, iso, signed)
+    check_cap(comb(n * n + k - 1, k), cap)
+    buckets = _class_walk(n, k)
+    keys = [b for b in buckets if b[0] == cls] if I is None else [(cls, frozenset(I))]
+    signs = dict(sorted(kv for b in keys for kv in buckets.get(b, {}).items()))
+    return SymmetricSum(n, k, signs if signed else dict.fromkeys(signs, Fraction(1)))
 
 
 def universal_det(
@@ -600,8 +592,9 @@ def universal_det(
         raise ValueError("need k >= 0")
     if k < n - len(iso):
         return SymmetricSum.zero(n, k)
-    check_cap((n * n) ** k, cap)
-    return Fraction((-1) ** k, factorial(k)) * _class_sum_cached(n, k, "SSC", iso, True)
+    check_cap(comb(n * n + k - 1, k), cap)
+    signs = _class_walk(n, k).get(("SSC", iso), {})
+    return Fraction((-1) ** k, factorial(k)) * SymmetricSum(n, k, signs)
 
 
 def universal_codim1(
@@ -609,15 +602,20 @@ def universal_codim1(
 ) -> SymmetricSum:
     """The degree-k (i,j)-minor element: signed sum over graphs G such that
     prepending the edge (i,j) makes G strongly semiconnected with no
-    isolated vertex."""
+    isolated vertex: a degree-(k+1) multiset of that class holding (i,j),
+    less one copy of it.  Its sign is the bigger multiset's, which agrees
+    with G's own, as an edge joining two components lies on no cycle."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("vertex out of range")
     if k < 0:
         raise ValueError("need k >= 0")
-    check_cap((n * n) ** k, cap)
-    return Fraction((-1) ** k, factorial(k)) * _class_sum_cached(
-        n, k, "SSC", frozenset(), True, (i, j)
-    )
+    check_cap(comb(n * n + k, k + 1), cap)
+    terms = {}
+    for big, c in _class_walk(n, k + 1).get(("SSC", frozenset()), {}).items():
+        if (i, j) in big:
+            at = big.index((i, j))
+            terms[big[:at] + big[at + 1:]] = c
+    return Fraction((-1) ** k, factorial(k)) * SymmetricSum(n, k, terms)
 
 
 def theta(n: int, cap: int | None = None) -> GradedElement:

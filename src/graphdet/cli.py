@@ -241,8 +241,10 @@ def cmd_suite(args) -> int:
     bad = [r for r in reports if r.status != "skipped" and not r.ok]
     npass = sum(1 for r in reports if r.status != "skipped" and r.ok)
     nskip = sum(1 for r in reports if r.status == "skipped")
+    nvacuous = sum(1 for r in reports if r.vacuous)
     if not args.json:
-        print(f"suite: {npass} ok, {len(bad)} failed, {nskip} skipped")
+        print(f"suite: {npass} ok, {len(bad)} failed, {nskip} skipped,"
+              f" {nvacuous} compared nothing")
     return 1 if bad else 0
 
 

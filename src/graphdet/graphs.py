@@ -46,7 +46,11 @@ class GraphFormatError(ValueError):
 
 
 def effective_cap(cap: int | None = None) -> int:
-    """The enumeration cap: explicit argument, else $GRAPHDET_CAP, else default."""
+    """The enumeration cap: explicit argument, else $GRAPHDET_CAP, else default.
+
+    It bounds the cases an enumeration walks: the edge multisets for the
+    class sums and universal elements; elsewhere the edge sequences, edge
+    subsets or head functions enumerated, times any work per case."""
     if cap is not None:
         return cap
     env = os.environ.get(CAP_ENV_VAR)
@@ -56,6 +60,7 @@ def effective_cap(cap: int | None = None) -> int:
 
 
 def check_cap(size: int, cap: int | None = None) -> None:
+    """Raise CapExceeded if ``size`` cases exceed the effective cap."""
     limit = effective_cap(cap)
     if size > limit:
         raise CapExceeded(size, limit)

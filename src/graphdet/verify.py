@@ -74,6 +74,11 @@ class VerificationReport:
             return self.sign is None or want is None or self.sign == want
         return False
 
+    @property
+    def vacuous(self) -> bool:
+        """The check ran but compared nothing: not skipped, and no case."""
+        return self.status != "skipped" and self.total_cases == 0
+
     def to_json_dict(self) -> dict:
         return {
             "check": self.check,
@@ -88,6 +93,8 @@ class VerificationReport:
     def human(self, max_failures: int = 20) -> str:
         ptxt = " ".join(f"{k}={v}" for k, v in self.params.items())
         head = f"[{self.status}] {self.check} {ptxt} cases={self.total_cases}"
+        if self.vacuous:
+            head += " (nothing compared)"
         if self.sign is not None:
             head += f" sign={self.sign:+d}"
         head += f" elapsed={self.elapsed_ms}ms"
@@ -356,10 +363,11 @@ def rooted_forest_poly(n: int, roots) -> MultiPoly:
     """Independent oracle: sum of monomials over functions sending each
     non-root vertex to its out-neighbour, whose iteration always lands in the
     root set.  These are exactly the forests of trees directed towards the
-    roots, one root per component."""
+    roots, one root per component; each forest's monomial is distinct, with
+    coefficient 1."""
     rootset = frozenset(roots)
     others = [v for v in range(1, n + 1) if v not in rootset]
-    total = MultiPoly.zero()
+    terms = {}
     for heads in product(range(1, n + 1), repeat=len(others)):
         f = dict(zip(others, heads))
         ok = True
@@ -375,11 +383,8 @@ def rooted_forest_poly(n: int, roots) -> MultiPoly:
             if not ok:
                 break
         if ok:
-            mono = MultiPoly.const(1)
-            for v in others:
-                mono = mono * MultiPoly.variable(w(v, f[v]))
-            total = total + mono
-    return total
+            terms[tuple((w(v, f[v]), 1) for v in others)] = 1
+    return MultiPoly(terms)
 
 
 def verify_kirchhoff_diag(n: int, I, cap=None) -> VerificationReport:

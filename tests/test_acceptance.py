@@ -37,12 +37,12 @@ from graphdet import (
     determinant,
     enumerate_undirected,
     pairing,
-    potts,
     tutte,
     universal_det,
 )
 from graphdet.algebra import class_sum
 from graphdet.poly import MultiPoly, Q, V, X, Y
+from graphdet.potts import potts
 from graphdet.verify import (
     SuiteConfig,
     run_suite,

@@ -1,6 +1,8 @@
 """Formal sums, the concatenation product, and the determinant elements."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -21,6 +23,7 @@ from graphdet import (
     universal_det,
     x_sum,
 )
+from graphdet import algebra
 from graphdet.algebra import class_sum, distinct_permutations
 
 D = DirectedGraph
@@ -145,6 +148,19 @@ def test_universal_codim1():
         D(3, ((3, 2), (2, 1))): -half,
         D(3, ((2, 1), (3, 2))): -half,
     })
+    # every (i,j): the graphs G with (i,j)+G strongly semiconnected and
+    # without isolated vertices, each (-1)^k/k! times (-1)^beta0((i,j)+G)
+    for n in (1, 2, 3):
+        for k in range(4):
+            scale = Fraction((-1) ** k, factorial(k))
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    terms = {}
+                    for g in enumerate_graphs(n, k):
+                        c = classify(D(n, ((i, j),) + g.edges))
+                        if c.strongly_semiconnected and not c.isolated:
+                            terms[g] = scale * (-1) ** c.beta0
+                    assert universal_codim1(n, k, i, j) == FormalSum(n, k, terms)
 
 
 def test_theta_structure():
@@ -179,7 +195,29 @@ def test_distinct_permutations():
 
 
 def test_class_sum_matches_stream_filter():
-    for n, k, cls, I in [(2, 2, "SSC", ()), (3, 2, "AC", (1,)), (2, 3, "SSC", None), (3, 2, "AC", None)]:
-        fast = class_sum(n, k, cls, I)
-        slow = u_sum(enumerate_class(n, k, cls, I), n=n, k=k)
-        assert fast == slow
+    for n in (1, 2, 3):
+        vertex_sets = [None] + [
+            I for size in range(n + 1) for I in combinations(range(1, n + 1), size)
+        ]
+        for k in range(5):
+            for cls in ("SSC", "AC"):
+                for I in vertex_sets:
+                    stream = list(enumerate_class(n, k, cls, I))
+                    assert class_sum(n, k, cls, I) == u_sum(stream, n=n, k=k)
+                    assert class_sum(n, k, cls, I, signed=True) == x_sum(stream, n=n, k=k)
+
+
+def test_one_classified_walk_per_degree(monkeypatch):
+    # theta(3) reads the walks at k = 4, 2 and 1 and classifies each
+    # multiset once: C(12,4) + C(10,2) + C(9,1) calls
+    calls = []
+    classify_key = algebra._classify_key
+
+    def counted(n, key):
+        calls.append(key)
+        return classify_key(n, key)
+
+    monkeypatch.setattr(algebra, "_classify_key", counted)
+    algebra._class_walk.cache_clear()
+    theta(3)
+    assert len(calls) == len(set(calls)) == 495 + 45 + 9

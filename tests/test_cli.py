@@ -6,7 +6,7 @@ import pytest
 
 from graphdet import parse_formal_sum, universal_det
 from graphdet.cli import main
-from graphdet.verify import CHECK_FUNCTIONS, run_check
+from graphdet.verify import CHECK_FUNCTIONS, SuiteConfig, run_check, run_suite
 
 
 def run(capsys, *argv):
@@ -243,6 +243,18 @@ def test_suite_json_and_exit(tmp_path, capsys):
     assert {"direct", "diag", "specval", "minor_pairing", "theta"} <= names
     # theta n=2 passes, so the small grid is green
     assert code == 0
+
+
+def test_cells_that_compare_nothing_are_flagged(capsys):
+    code, out, _ = run(capsys, "verify", "diag", "--n", "3", "--k", "1")
+    assert code == 0 and " cases=0 (nothing compared) " in out
+    code, out, _ = run(capsys, "verify", "diag", "--n", "2", "--k", "1", "--sinks", "2")
+    assert code == 0 and "nothing compared" not in out
+    reports = run_suite(SuiteConfig(max_n=2, max_k=1))
+    vacuous = sum(r.vacuous for r in reports)
+    code, out, _ = run(capsys, "suite", "--n", "2", "--k", "1")
+    assert code == 0 and vacuous == 16 == out.count("(nothing compared)")
+    assert out.rstrip().endswith(", 0 skipped, 16 compared nothing")
 
 
 def test_pair_rejects_undirected_zero_sum(tmp_path, capsys):

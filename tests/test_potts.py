@@ -1,6 +1,7 @@
 """Partition function, Tutte polynomial, and orientation counting."""
 
 from fractions import Fraction
+from types import ModuleType
 
 from graphdet import (
     DirectedGraph,
@@ -11,7 +12,6 @@ from graphdet import (
     enumerate_undirected,
     forget_sum,
     laplace,
-    potts,
     shave,
     tutte,
     universal_det,
@@ -19,10 +19,16 @@ from graphdet import (
 )
 from graphdet.algebra import FormalSum
 from graphdet.poly import Q, V, X, Y
-from graphdet.potts import potts_value
+from graphdet.potts import potts, potts_value
 
 U = UndirectedGraph
 var = MultiPoly.variable
+
+
+def test_potts_module_is_not_shadowed():
+    import graphdet.potts as m
+
+    assert isinstance(m, ModuleType) and m.potts is potts
 
 
 def test_potts_examples():

@@ -3,11 +3,12 @@
 import dataclasses
 import inspect
 import json
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from graphdet import verify
+from graphdet.algebra import class_sum, universal_codim1
 from graphdet.graphs import CapExceeded, directed_edge_types, undirected_edge_types
 from graphdet.verify import (
     CHECK_FUNCTIONS,
@@ -98,6 +99,14 @@ def test_forest_oracle():
     )
     assert rooted_forest_poly(3, {1}) == expected
     assert rooted_forest_poly(2, {1, 2}) == 1  # empty product
+    # one monomial per forest, coefficient 1: |R| n^(n-|R|-1) forests rooted
+    # in R, and the empty forest when R holds every vertex
+    for n in range(1, 6):
+        for size in range(n + 1):
+            for R in combinations(range(1, n + 1), size):
+                terms = rooted_forest_poly(n, R).terms()
+                assert all(c == 1 for _, c in terms)
+                assert len(terms) == (size * n ** (n - size - 1) if size < n else 1)
 
 
 def test_kirchhoff_checks():
@@ -213,6 +222,15 @@ def test_cap_guard_raises():
         verify_direct(9, 9)
     with pytest.raises(CapExceeded):
         verify_diag(3, 3, (), cap=10)
+    # class sums and universal elements count the multisets they walk:
+    # C(3^2 + 4 - 1, 4) = 495 at degree 4, and C(3^2 + 3, 4) = 495 for the
+    # codim-1 element of degree 3, which reads degree 4
+    class_sum(3, 4, "AC", cap=495)
+    with pytest.raises(CapExceeded):
+        class_sum(3, 4, "AC", cap=494)
+    universal_codim1(3, 3, 1, 2, cap=495)
+    with pytest.raises(CapExceeded):
+        universal_codim1(3, 3, 1, 2, cap=494)
 
 
 def test_run_check_dispatch():
@@ -245,7 +263,7 @@ def test_suite_marks_capped_cells_skipped():
     assert any(r.status == "skipped" for r in reports)
     for r in reports:
         if r.status == "skipped":
-            assert r.total_cases == 0 and not r.failures
+            assert r.total_cases == 0 and not r.failures and not r.vacuous
 
 
 def test_suite_config_validation():
