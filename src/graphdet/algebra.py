@@ -95,7 +95,7 @@ class FormalSum:
     def single(cls, g, c=1) -> "FormalSum":
         return cls(g.n, g.k, {g: _coeff(c)}, type(g))
 
-    def expand(self) -> "FormalSum":
+    def expand(self, cap: int | None = None) -> "FormalSum":
         """The sum over numbered graphs: this sum itself."""
         return self
 
@@ -258,9 +258,12 @@ class SymmetricSum:
     def zero(cls, n: int, k: int) -> "SymmetricSum":
         return cls(n, k, {})
 
-    def expand(self) -> FormalSum:
-        """The FormalSum over every numbering of every multiset (memoized)."""
+    def expand(self, cap: int | None = None) -> FormalSum:
+        """The FormalSum over every numbering of every multiset (memoized).
+        The cap counts the numbered graphs it builds, ``len(self)``; the
+        queries that expand implicitly use the default cap."""
         if self._expanded is None:
+            check_cap(len(self), cap)
             n = self.n
             terms = {
                 DirectedGraph(n, seq): c
@@ -545,7 +548,7 @@ def distinct_permutations(items: tuple) -> Iterator[tuple]:
 def _class_walk(n: int, k: int) -> dict:
     """Every k-edge multiset, classified once and filed with its sign
     (-1)^beta0 under ("SSC", isolated set) if strongly semiconnected and
-    under ("AC", sink set) if acyclic; each bucket keeps walk order."""
+    under ("AC", sink set) if acyclic."""
     plus, minus = Fraction(1), Fraction(-1)
     buckets: dict = {}
     for multiset in itertools.combinations_with_replacement(directed_edge_types(n), k):
@@ -573,7 +576,7 @@ def class_sum(
     check_cap(comb(n * n + k - 1, k), cap)
     buckets = _class_walk(n, k)
     keys = [b for b in buckets if b[0] == cls] if I is None else [(cls, frozenset(I))]
-    signs = dict(sorted(kv for b in keys for kv in buckets.get(b, {}).items()))
+    signs = {m: c for b in keys for m, c in buckets.get(b, {}).items()}
     return SymmetricSum(n, k, signs if signed else dict.fromkeys(signs, Fraction(1)))
 
 

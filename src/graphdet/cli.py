@@ -24,6 +24,7 @@ from .graphs import (
     DirectedGraph,
     GraphFormatError,
     UndirectedGraph,
+    check_cap,
     classify,
     enumerate_class,
     enumerate_graphs,
@@ -121,13 +122,19 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_det(args) -> int:
+    # Every numbered graph is printed, so the cap counts edge sequences,
+    # unless the determinant element is zero by degree.
+    sequences = (args.n * args.n) ** args.k
     if args.minor:
         i, j = _parse_minor(args.minor)
+        check_cap(sequences, args.cap)
         s = universal_codim1(args.n, args.k, i, j, cap=args.cap)
     else:
         I = _parse_vertex_set(args.sinks or args.isolated)
+        if args.k >= args.n - len(I):
+            check_cap(sequences, args.cap)
         s = universal_det(args.n, args.k, I, cap=args.cap)
-    _write_text(args.output, format_formal_sum(s))
+    _write_text(args.output, format_formal_sum(s.expand(args.cap)))
     return 0
 
 
@@ -172,8 +179,10 @@ def cmd_tutte(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    # Every numbered graph is printed, so the cap counts edge sequences here.
+    check_cap((args.n * args.n) ** (args.n + 1), args.cap)
     th = theta(args.n, cap=args.cap)
-    blocks = [format_formal_sum(th.part(k)) for k in th.degrees()]
+    blocks = [format_formal_sum(th.part(k).expand(args.cap)) for k in th.degrees()]
     _write_text(args.output, "\n".join(blocks))
     return 0
 

@@ -49,8 +49,9 @@ def effective_cap(cap: int | None = None) -> int:
     """The enumeration cap: explicit argument, else $GRAPHDET_CAP, else default.
 
     It bounds the cases an enumeration walks: the edge multisets for the
-    class sums and universal elements; elsewhere the edge sequences, edge
-    subsets or head functions enumerated, times any work per case."""
+    class sums and universal elements, and the numbered graphs a sum of
+    them expands into; elsewhere the edge sequences, edge subsets or head
+    functions enumerated, times any work per case."""
     if cap is not None:
         return cap
     env = os.environ.get(CAP_ENV_VAR)

@@ -282,13 +282,14 @@ def verify_expansion(n: int, k: int, cap=None) -> VerificationReport:
     if k < 1:
         raise ValueError("need k >= 1")
     t0 = time.perf_counter()
-    lhs = universal_det(n, k, (), cap=cap)
+    check_cap((n * n) ** k, cap)  # both sides are compared as numbered graphs
+    lhs = universal_det(n, k, (), cap=cap).expand(cap)
     total_sum = FormalSum.zero(n, k)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             edge = FormalSum.single(DirectedGraph(n, ((i, j),)))
             total_sum = total_sum + concat_product(
-                edge, universal_codim1(n, k - 1, i, j, cap=cap)
+                edge, universal_codim1(n, k - 1, i, j, cap=cap).expand(cap)
             )
     rhs_base = Fraction(1, k) * total_sum
     status, sign, literal = _probe_sign(lhs, lambda s: Fraction(s) * rhs_base)

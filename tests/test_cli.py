@@ -69,6 +69,16 @@ def test_det_empty_and_minor(capsys):
 def test_det_cap_exits_3(capsys):
     code, _, err = run(capsys, "det", "--n", "9", "--k", "9")
     assert code == 3 and "cap" in err
+    # det and theta print every numbered graph, so they count edge sequences
+    # (16^8 and 25^6), although the walks are 490,314 and 593,775 multisets
+    code, _, err = run(capsys, "det", "--n", "4", "--k", "8")
+    assert code == 3 and "cap" in err
+    code, _, err = run(capsys, "theta", "--n", "5")
+    assert code == 3 and "cap" in err
+    code, out, _ = run(capsys, "det", "--n", "6", "--k", "5")  # zero by degree
+    assert code == 0 and out == "FS 6 5\n"
+    code, _, err = run(capsys, "det", "--n", "4", "--k", "6", "--minor", "1/2")
+    assert code == 3 and "cap" in err
 
 
 def test_laplace_pipe(tmp_path, capsys):
@@ -138,6 +148,9 @@ def test_verify_unknown_check_exits_2(capsys):
 
 def test_verify_cap_exits_3(capsys):
     code, _, _ = run(capsys, "verify", "diag", "--n", "9", "--k", "9")
+    assert code == 3
+    # expansion compares numbered graphs: 16^6 edge sequences
+    code, _, _ = run(capsys, "verify", "expansion", "--n", "4", "--k", "6")
     assert code == 3
 
 

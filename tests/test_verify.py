@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from graphdet import verify
-from graphdet.algebra import class_sum, universal_codim1
+from graphdet.algebra import class_sum, universal_codim1, universal_det
 from graphdet.graphs import CapExceeded, directed_edge_types, undirected_edge_types
 from graphdet.verify import (
     CHECK_FUNCTIONS,
@@ -231,6 +231,21 @@ def test_cap_guard_raises():
     universal_codim1(3, 3, 1, 2, cap=495)
     with pytest.raises(CapExceeded):
         universal_codim1(3, 3, 1, 2, cap=494)
+    # at k <= 2 that walk is longer than the 9^k edge sequences: C(3^2 + 1, 2)
+    # = 45 for the codim-1 element of degree 1
+    universal_codim1(3, 1, 1, 2, cap=45)
+    with pytest.raises(CapExceeded):
+        universal_codim1(3, 1, 1, 2, cap=44)
+    # expanding counts the numbered graphs it builds, and checks that compare
+    # numbered graphs count edge sequences
+    s = universal_det(3, 4)
+    with pytest.raises(CapExceeded):
+        s.expand(cap=len(s) - 1)
+    assert s.expand(cap=len(s)) == s
+    with pytest.raises(CapExceeded):
+        universal_det(3, 8).terms()  # 19,973,520 numbered graphs
+    with pytest.raises(CapExceeded):
+        verify_expansion(3, 4, cap=9 ** 4 - 1)
 
 
 def test_run_check_dispatch():
