@@ -10,6 +10,7 @@ import argparse
 import inspect
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .algebra import (
@@ -71,12 +72,19 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: str | None, text: str) -> None:
+@contextmanager
+def _output(path: str | None):
+    """The file at path, or stdout for None and "-"."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_text(path: str | None, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _fmt_set(vs) -> str:
@@ -188,9 +196,11 @@ def cmd_theta(args) -> int:
 
 
 def _report_out(reports: list[VerificationReport], args) -> None:
-    payload = [r.to_json_dict() for r in reports]
     if args.json:
-        _write_text(args.json, json.dumps(payload, indent=2) + "\n")
+        # Streamed, so the report is never held as one string.
+        with _output(args.json) as fh:
+            json.dump([r.to_json_dict() for r in reports], fh, indent=2)
+            fh.write("\n")
     else:
         for r in reports:
             print(r.human())
@@ -231,7 +241,7 @@ def cmd_verify(args) -> int:
         need = " and ".join(dict.fromkeys(missing))
         raise SystemExit2(f"check {args.check!r} needs {need}")
     try:
-        report = run_check(name, params, cap=args.cap, jobs=args.jobs)
+        report = run_check(name, params, cap=args.cap)
     except (ValueError, KeyError) as exc:
         raise SystemExit2(str(exc))
     _report_out([report], args)
@@ -329,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--isolated", help="synonym for --sinks")
     p.add_argument("--minor", help="i/j where applicable")
     p.add_argument("--m", type=int, help="derivative order")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--json", help="write the JSON report to this path")
     common(p)
     p.set_defaults(fn=cmd_verify)
@@ -337,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the whole desk-scale check grid")
     p.add_argument("--n", type=int, help="maximum vertex count (default 3)")
     p.add_argument("--k", type=int, help="maximum edge count (default 4)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--json", help="write the JSON report array to this path")
     common(p)
     p.set_defaults(fn=cmd_suite)

@@ -7,16 +7,14 @@ out of the desk derivations with a sign opposite to their classical
 phrasing; those checks probe for the uniform sign instead of failing, report
 it, and also record whether the literal phrasing happens to hold.
 
-Reports are deterministic: the failure lists are ordered by enumeration
-index, and worker partitioning cannot change any payload field except the
-elapsed time.
+Reports are deterministic: every check runs serially in one process, and
+the failure lists are ordered by enumeration index, so two runs differ in no
+payload field except the elapsed time.
 """
 
 from __future__ import annotations
 
-import inspect
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,8 +46,6 @@ from .poly import MultiPoly, WeightMatrix, laplace_matrix, minor, pairing, w
 from .potts import count_orientations, potts_value, shave, universal_potts
 
 EXPECTED_SIGNS = {"expansion": -1, "derivative": -1}
-
-_WORKER_THRESHOLD = 1024
 
 
 @dataclass
@@ -551,100 +547,63 @@ def verify_theta(n: int, cap=None) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# The operator laws act on edge positions, so they run on every numbered
-# graph.  That domain is split into index ranges; each chunk returns its
-# failure list and the chunks are merged in order, so the payload is
-# independent of the worker count.
+# The operator laws.  The position operators act on edge numbers, so their
+# laws run on every numbered graph; the Laplace, support and pairing laws
+# ignore the numbering and run once per edge multiset.
 
 
-def _chunks(total: int, jobs: int) -> list[tuple[int, int]]:
-    if total == 0:
-        return []
-    if jobs <= 1 or total < _WORKER_THRESHOLD:
-        return [(0, total)]
-    size = -(-total // jobs)
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
-def _run_chunked(fn, args: tuple, total: int, jobs: int) -> list[dict]:
-    chunks = _chunks(total, jobs)
-    tasks = [args + (lo, hi) for lo, hi in chunks]
-    if len(tasks) <= 1 or jobs <= 1:
-        parts = [fn(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(fn, tasks))
-    failures: list[dict] = []
-    for p in parts:
-        failures.extend(p)
-    return failures
-
-
-def _edges_at(idx: int, k: int, etypes: list) -> tuple:
-    """Edge sequence number idx in the lexicographic enumeration."""
-    base = len(etypes)
-    out = []
-    for _ in range(k):
-        idx, d = divmod(idx, base)
-        out.append(etypes[d])
-    out.reverse()
-    return tuple(out)
-
-
-def _case_worker(args) -> list[dict]:
-    """Operator-law failures of one index range."""
-    n, k, etypes, lo, hi = args
-    failures = []
-    for idx in range(lo, hi):
-        edges = _edges_at(idx, k, etypes)
-        bad = _operator_case(n, k, edges)
-        if bad is not None:
-            failures.append(_failure(edges, *bad))
-    return failures
-
-
-def _operator_case(n, k, edges):
-    W, Wh = _matrices(n)
-    g = DirectedGraph(n, edges)
-    s = FormalSum.single(g)
-    bad = None
+def _position_laws(n, k, edges):
+    """The first position-operator law the numbered graph violates, or None:
+    each b_p is idempotent, and every two of them commute."""
+    s = FormalSum.single(DirectedGraph(n, edges))
     singles = [b_op(p, s) for p in range(1, k + 1)]
     for p in range(1, k + 1):
         if b_op(p, singles[p - 1]) != singles[p - 1]:
-            bad = ("idempotent", p)
-            break
-    if bad is None:
-        for p in range(1, k + 1):
-            for q in range(p + 1, k + 1):
-                if b_op(q, singles[p - 1]) != b_op(p, singles[q - 1]):
-                    bad = ("commute", (p, q))
-                    break
-            if bad:
-                break
+            return "idempotent"
+    for p in range(1, k + 1):
+        for q in range(p + 1, k + 1):
+            if b_op(q, singles[p - 1]) != b_op(p, singles[q - 1]):
+                return "commute"
+    return None
+
+
+def _multiset_laws(n, k, multiset):
+    """The first numbering-free law the graph violates, or None: the Laplace
+    operator is idempotent, its image is loop-free with the graph's sinks,
+    and pairing with the zero-row-sum matrix factors through it."""
+    W, Wh = _matrices(n)
+    g = DirectedGraph(n, multiset)
+    s = FormalSum.single(g)
     ds = laplace(s)
-    if bad is None and laplace(ds) != ds:
-        bad = ("laplace-idempotent", None)
-    if bad is None:
-        gsinks = classify(g).sinks
-        for h in ds.support():
-            ch = classify(h)
-            if ch.loop_count or ch.sinks != gsinks:
-                bad = ("support", h)
-                break
-    if bad is None and pairing(Wh, s) != pairing(W, ds):
-        bad = ("pairing", None)
-    return None if bad is None else (f"law:{bad[0]}", "violated")
+    if laplace(ds) != ds:
+        return "laplace-idempotent"
+    gsinks = classify(g).sinks
+    for h in ds.support():
+        ch = classify(h)
+        if ch.loop_count or ch.sinks != gsinks:
+            return "support"
+    if pairing(Wh, s) != pairing(W, ds):
+        return "pairing"
+    return None
 
 
-def verify_operator_laws(n: int, k: int, cap=None, jobs: int = 1) -> VerificationReport:
+def verify_operator_laws(n: int, k: int, cap=None) -> VerificationReport:
     """Position operators are commuting idempotents, the Laplace operator is
     idempotent with loop-free sink-preserving output, and pairing with the
-    zero-row-sum matrix factors through it; on the full graph basis."""
+    zero-row-sum matrix factors through it; on the full graph basis.  A graph
+    violating a position law is reported under that law's name."""
     t0 = time.perf_counter()
     etypes = directed_edge_types(n)
     total = len(etypes) ** k
     check_cap(total * (k * k + 2), cap)
-    failures = _run_chunked(_case_worker, (n, k, etypes), total, jobs)
+    by_multiset = {
+        m: _multiset_laws(n, k, m) for m in combinations_with_replacement(etypes, k)
+    }
+    failures = []
+    for edges in product(etypes, repeat=k):
+        bad = _position_laws(n, k, edges) or by_multiset[tuple(sorted(edges))]
+        if bad is not None:
+            failures.append(_failure(edges, f"law:{bad}", "violated"))
     return _report("operator_laws", {"n": n, "k": k}, failures, total, t0)
 
 
@@ -673,7 +632,7 @@ CHECK_FUNCTIONS = {
 class SuiteConfig:
     max_n: int = 3
     max_k: int = 4
-    jobs: int = 1
+    jobs: int = 1  # validated, but every cell runs serially
     cap: int | None = None
 
     def __post_init__(self):
@@ -720,13 +679,11 @@ def suite_cells(config: SuiteConfig) -> list[tuple[str, dict]]:
 
 
 def run_check(name: str, params: dict, cap=None, jobs: int = 1) -> VerificationReport:
-    """Run one check; ``jobs`` reaches only the check that splits its
-    enumeration into chunks (``operator_laws``)."""
+    """Run one check.  Every check runs serially in this process; ``jobs``
+    is accepted for callers that pass a worker count and has no effect."""
     fn = CHECK_FUNCTIONS.get(name)
     if fn is None:
         raise KeyError(f"unknown check {name!r}")
-    if "jobs" in inspect.signature(fn).parameters:
-        params = {**params, "jobs": jobs}
     return fn(**params, cap=cap)
 
 
@@ -738,7 +695,7 @@ def run_suite(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
     for name, params in suite_cells(config):
         try:
-            reports.append(run_check(name, params, cap=config.cap, jobs=config.jobs))
+            reports.append(run_check(name, params, cap=config.cap))
         except CapExceeded:
             reports.append(
                 VerificationReport(

@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, round trips, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -167,6 +168,21 @@ def test_verify_json_report(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert payload[0]["check"] == "direct" and payload[0]["status"] == "pass"
+    assert_streamed_report(capsys, out_path, "verify", "direct", "--n", "2", "--k", "2")
+
+
+def assert_streamed_report(capsys, out_path, *argv):
+    """The written report is the indented dump of its own payload, and
+    ``--json -`` prints the same text, up to the elapsed times."""
+    text = out_path.read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    _, out, _ = run(capsys, *argv, "--json", "-")
+    assert without_elapsed(out) == without_elapsed(text)
+
+
+def without_elapsed(text):
+    return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
 
 
 # One cell of every check: the verify flags, and the parameters they set.
@@ -256,6 +272,7 @@ def test_suite_json_and_exit(tmp_path, capsys):
     assert {"direct", "diag", "specval", "minor_pairing", "theta"} <= names
     # theta n=2 passes, so the small grid is green
     assert code == 0
+    assert_streamed_report(capsys, out_path, "suite", "--n", "2", "--k", "1")
 
 
 def test_cells_that_compare_nothing_are_flagged(capsys):

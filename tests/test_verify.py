@@ -6,6 +6,7 @@ import json
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdet import verify
 from graphdet.algebra import class_sum, universal_codim1, universal_det
@@ -13,11 +14,12 @@ from graphdet.graphs import CapExceeded, directed_edge_types, undirected_edge_ty
 from graphdet.verify import (
     CHECK_FUNCTIONS,
     SuiteConfig,
-    _chunks,
     _direct_case,
     _direct_prime_case,
     _failure,
     _mobius_case,
+    _multiset_laws,
+    _position_laws,
     _specval_case,
     rooted_forest_poly,
     run_check,
@@ -166,11 +168,8 @@ def test_failure_payload_shape():
 
 
 def test_jobs_do_not_change_payload():
-    # 4^5 = 1024 numbered graphs reach the chunking threshold, so jobs=8
-    # really goes through the worker pool
-    assert len(_chunks(4 ** 5, 8)) > 1
-    a = verify_operator_laws(2, 5, jobs=1).to_json_dict()
-    b = verify_operator_laws(2, 5, jobs=8).to_json_dict()
+    a = run_check("operator_laws", {"n": 2, "k": 5}, jobs=1).to_json_dict()
+    b = run_check("operator_laws", {"n": 2, "k": 5}, jobs=8).to_json_dict()
     a.pop("elapsed_ms")
     b.pop("elapsed_ms")
     assert a == b
@@ -189,6 +188,9 @@ def test_cases_depend_only_on_the_edge_multiset():
         for n, k in [(2, 3), (3, 2)]:
             for seq in product(directed_edge_types(n), repeat=k):
                 assert case(n, k, seq) == case(n, k, tuple(sorted(seq)))
+    for n, k in [(2, 3), (3, 2), (2, 4), (3, 3)]:
+        for seq in product(directed_edge_types(n), repeat=k):
+            assert _multiset_laws(n, k, seq) == _multiset_laws(n, k, tuple(sorted(seq)))
     for seq in product(undirected_edge_types(3), repeat=3):
         assert _specval_case(3, 3, seq) == _specval_case(3, 3, tuple(sorted(seq)))
 
@@ -215,6 +217,62 @@ def test_multiset_walk_lists_every_failing_sequence_in_order(monkeypatch):
                     want.append(_failure(seq, *bad))
             assert want
             assert run_check(name, {"n": n, "k": k}).failures == want
+
+
+def test_operator_laws_list_every_failing_sequence_in_order(monkeypatch):
+    # a support fault that depends only on the multiset (graphs with one
+    # loop at vertex 2 gain a sink) and a position fault that depends on the
+    # numbering (b_1 doubles graphs whose first edge is (1, 2)); the report
+    # must equal a walk that runs both halves on every sequence, the
+    # position law winning where both fail
+    classify, b_op = verify.classify, verify.b_op
+
+    def loop_gains_sink(g):
+        c = classify(g)
+        if g.edges.count((2, 2)) != 1:
+            return c
+        return dataclasses.replace(c, sinks=c.sinks | {0})
+
+    def doubled(p, s):
+        out = b_op(p, s)
+        if p == 1 and any(g.edges[0] == (1, 2) for g in s.support()):
+            return 2 * out
+        return out
+
+    monkeypatch.setattr(verify, "classify", loop_gains_sink)
+    monkeypatch.setattr(verify, "b_op", doubled)
+    for n, k in [(2, 3), (3, 2), (2, 4)]:
+        want = []
+        names = set()
+        both = 0
+        for seq in product(directed_edge_types(n), repeat=k):
+            position = _position_laws(n, k, seq)
+            multiset = _multiset_laws(n, k, seq)
+            both += position is not None and multiset is not None
+            bad = position or multiset
+            if bad is not None:
+                names.add(bad)
+                want.append(_failure(seq, f"law:{bad}", "violated"))
+        assert both and {"idempotent", "support"} <= names
+        assert run_check("operator_laws", {"n": n, "k": k}).failures == want
+
+
+@st.composite
+def n4_sequences(draw):
+    """An edge sequence of 3 or 4 edges on 4 vertices, beyond the grid."""
+    edge = st.tuples(st.integers(1, 4), st.integers(1, 4))
+    k = draw(st.sampled_from([3, 4]))
+    return k, tuple(draw(st.lists(edge, min_size=k, max_size=k)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(n4_sequences())
+def test_operator_laws_hold_on_random_n4_sequences(case):
+    k, seq = case
+    assert _position_laws(4, k, seq) is None
+    assert _multiset_laws(4, k, seq) is None
+    # the walk runs the multiset laws on the sorted edge tuple
+    assert _multiset_laws(4, k, tuple(sorted(seq))) is None
 
 
 def test_cap_guard_raises():
@@ -256,13 +314,14 @@ def test_run_check_dispatch():
 
 
 def test_run_check_passes_jobs_only_to_chunking_checks():
+    # every check runs serially; run_check accepts jobs and ignores it
     r = run_check("diag", {"n": 2, "k": 1, "I": (2,)}, jobs=2)
     assert r.check == "diag" and r.ok
     chunking = {
         name for name, fn in CHECK_FUNCTIONS.items()
         if "jobs" in inspect.signature(fn).parameters
     }
-    assert chunking == {"operator_laws"}
+    assert chunking == set()
 
 
 def test_suite_small_grid():
