@@ -31,7 +31,8 @@ from .graphs import (
     DirectedGraph,
     GraphFormatError,
     UndirectedGraph,
-    _classify_key,
+    _classify,
+    _vertex_set,
     beta0,
     check_cap,
     classify,
@@ -552,13 +553,20 @@ def _class_walk(n: int, k: int) -> dict:
     plus, minus = Fraction(1), Fraction(-1)
     buckets: dict = {}
     for multiset in itertools.combinations_with_replacement(directed_edge_types(n), k):
-        c = _classify_key(n, multiset)
+        c = _classify(n, multiset)
         sign = minus if c.beta0 % 2 else plus
         if c.strongly_semiconnected:
             buckets.setdefault(("SSC", c.isolated), {})[multiset] = sign
         if c.acyclic:
             buckets.setdefault(("AC", c.sinks), {})[multiset] = sign
     return buckets
+
+
+def _walk(n: int, k: int, cap: int | None) -> dict:
+    """The buckets of the walk at (n, k), once its C(n^2+k-1, k) multisets
+    are within the cap."""
+    check_cap(comb(n * n + k - 1, k), cap)
+    return _class_walk(n, k)
 
 
 def class_sum(
@@ -573,9 +581,9 @@ def class_sum(
     cls = cls.upper()
     if cls not in ("SSC", "AC"):
         raise ValueError(f"unknown graph class {cls!r}")
-    check_cap(comb(n * n + k - 1, k), cap)
-    buckets = _class_walk(n, k)
-    keys = [b for b in buckets if b[0] == cls] if I is None else [(cls, frozenset(I))]
+    key = None if I is None else (cls, _vertex_set(n, I))
+    buckets = _walk(n, k, cap)
+    keys = [b for b in buckets if b[0] == cls] if key is None else [key]
     signs = {m: c for b in keys for m, c in buckets.get(b, {}).items()}
     return SymmetricSum(n, k, signs if signed else dict.fromkeys(signs, Fraction(1)))
 
@@ -588,15 +596,12 @@ def universal_det(
     ((-1)^k / k!) times the beta0-signed sum of all strongly semiconnected
     graphs whose isolated vertices are exactly I.  Zero whenever k < n - |I|.
     """
-    iso = frozenset(I)
-    if not iso <= set(range(1, n + 1)):
-        raise ValueError("vertex set out of range")
+    iso = _vertex_set(n, I)
     if k < 0:
         raise ValueError("need k >= 0")
     if k < n - len(iso):
         return SymmetricSum.zero(n, k)
-    check_cap(comb(n * n + k - 1, k), cap)
-    signs = _class_walk(n, k).get(("SSC", iso), {})
+    signs = _walk(n, k, cap).get(("SSC", iso), {})
     return Fraction((-1) ** k, factorial(k)) * SymmetricSum(n, k, signs)
 
 
@@ -612,9 +617,8 @@ def universal_codim1(
         raise ValueError("vertex out of range")
     if k < 0:
         raise ValueError("need k >= 0")
-    check_cap(comb(n * n + k, k + 1), cap)
     terms = {}
-    for big, c in _class_walk(n, k + 1).get(("SSC", frozenset()), {}).items():
+    for big, c in _walk(n, k + 1, cap).get(("SSC", frozenset()), {}).items():
         if (i, j) in big:
             at = big.index((i, j))
             terms[big[:at] + big[at + 1:]] = c

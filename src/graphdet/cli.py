@@ -110,13 +110,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.cls:
-        I = None
-        if args.cls.upper() == "SSC" and args.isolated is not None:
-            I = _parse_vertex_set(args.isolated)
-        if args.cls.upper() == "AC" and args.sinks is not None:
-            I = _parse_vertex_set(args.sinks)
-        stream = enumerate_class(args.n, args.k, args.cls, I, cap=args.cap)
+    # --isolated sets the vertex set of the SSC class, --sinks that of AC.
+    cls = (args.cls or "").upper()
+    for flag, value, owner in (("--isolated", args.isolated, "SSC"),
+                               ("--sinks", args.sinks, "AC")):
+        if value is not None and cls != owner:
+            raise SystemExit2(f"{flag} needs --class {owner.lower()}")
+    if cls:
+        given = args.isolated if cls == "SSC" else args.sinks
+        I = None if given is None else _parse_vertex_set(given)
+        stream = enumerate_class(args.n, args.k, cls, I, cap=args.cap)
     else:
         stream = enumerate_graphs(args.n, args.k, cap=args.cap)
     count = 0
@@ -295,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("det", help="write a universal determinant/minor element")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--sinks", help="vertex set I of the diagonal minor")
-    p.add_argument("--isolated", help="synonym for --sinks")
-    p.add_argument("--minor", help="i/j for the codimension-1 minor element")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--sinks", help="vertex set I of the diagonal minor")
+    which.add_argument("--isolated", help="synonym for --sinks")
+    which.add_argument("--minor", help="i/j for the codimension-1 minor element")
     p.add_argument("-o", "--output", help="output path (default stdout)")
     common(p)
     p.set_defaults(fn=cmd_det)
@@ -335,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", help="check name, e.g. diag, expansion, theta")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--sinks", help="vertex set I where applicable")
-    p.add_argument("--isolated", help="synonym for --sinks")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--sinks", help="vertex set I where applicable")
+    which.add_argument("--isolated", help="synonym for --sinks")
     p.add_argument("--minor", help="i/j where applicable")
     p.add_argument("--m", type=int, help="derivative order")
     p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")

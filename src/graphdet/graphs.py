@@ -184,10 +184,9 @@ class GraphClassification:
     loop_count: int
 
 
-# Classification caches, keyed by (n, sorted edge tuple).  Predicates are
+# Classification cache, keyed by (n, sorted edge tuple).  Predicates are
 # invariant under edge renumbering, so sorting the sequence loses nothing.
 _DIR_CACHE: dict[tuple[int, tuple[Edge, ...]], GraphClassification] = {}
-_B0_CACHE: dict[tuple[int, tuple[Edge, ...]], int] = {}
 
 
 def _components(n: int, edges: Iterable[Edge]) -> list[int]:
@@ -218,13 +217,8 @@ def _components(n: int, edges: Iterable[Edge]) -> list[int]:
     return comps
 
 
-def _beta0(n: int, edges: tuple[Edge, ...]) -> int:
-    key = (n, tuple(sorted(edges)))
-    hit = _B0_CACHE.get(key)
-    if hit is None:
-        hit = len(_components(n, key[1]))
-        _B0_CACHE[key] = hit
-    return hit
+def _beta0(n: int, edges: Iterable[Edge]) -> int:
+    return len(_components(n, edges))
 
 
 def beta0(g: Graph) -> int:
@@ -239,10 +233,16 @@ def beta1(g: Graph) -> int:
 
 
 def _classify_key(n: int, sorted_edges: tuple[Edge, ...]) -> GraphClassification:
+    """The classification of one sorted edge multiset, through the cache."""
     hit = _DIR_CACHE.get((n, sorted_edges))
-    if hit is not None:
-        return hit
+    if hit is None:
+        hit = _DIR_CACHE[(n, sorted_edges)] = _classify(n, sorted_edges)
+    return hit
 
+
+def _classify(n: int, sorted_edges: tuple[Edge, ...]) -> GraphClassification:
+    """Classify one sorted edge multiset, uncached: for callers that keep
+    the result themselves."""
     k = len(sorted_edges)
     adj = [0] * (n + 1)
     outdeg = [0] * (n + 1)
@@ -284,7 +284,7 @@ def _classify_key(n: int, sorted_edges: tuple[Edge, ...]) -> GraphClassification
     sinks = frozenset(v for v in range(1, n + 1) if outdeg[v] == 0)
     isolated = frozenset(v for v in range(1, n + 1) if not incident[v])
 
-    result = GraphClassification(
+    return GraphClassification(
         beta0=b0,
         beta1=k - n + b0,
         strongly_connected=strongly_connected,
@@ -294,9 +294,6 @@ def _classify_key(n: int, sorted_edges: tuple[Edge, ...]) -> GraphClassification
         isolated=isolated,
         loop_count=loop_count,
     )
-    _DIR_CACHE[(n, sorted_edges)] = result
-    _B0_CACHE[(n, sorted_edges)] = b0
-    return result
 
 
 def classify(g: DirectedGraph) -> GraphClassification:
@@ -394,6 +391,14 @@ def enumerate_undirected(n: int, k: int, cap: int | None = None) -> Iterator[Und
         yield UndirectedGraph(n, edges)
 
 
+def _vertex_set(n: int, I: Iterable[int]) -> frozenset[int]:
+    """The vertex set I, refused unless it lies in 1..n."""
+    vs = frozenset(I)
+    if not vs <= set(range(1, n + 1)):
+        raise ValueError("vertex set out of range")
+    return vs
+
+
 def enumerate_class(
     n: int,
     k: int,
@@ -409,9 +414,7 @@ def enumerate_class(
     cls = cls.upper()
     if cls not in ("SSC", "AC"):
         raise ValueError(f"unknown graph class {cls!r}")
-    target = None if I is None else frozenset(I)
-    if target is not None and not target <= set(range(1, n + 1)):
-        raise ValueError("class vertex set out of range")
+    target = None if I is None else _vertex_set(n, I)
     for g in enumerate_graphs(n, k, cap=cap):
         c = classify(g)
         if cls == "SSC":

@@ -14,16 +14,18 @@ the edge numbering.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
-from .algebra import FormalSum
+from .algebra import FormalSum, distinct_permutations
 from .graphs import (
     UndirectedGraph,
     _beta0,
     check_cap,
     classify,
-    enumerate_undirected,
     orientations,
     subset_positions,
+    undirected_edge_types,
 )
 from .poly import MultiPoly, Q, V, X, Y
 
@@ -59,9 +61,6 @@ def shave(u: UndirectedGraph) -> UndirectedGraph:
     return UndirectedGraph(u.n, tuple(e for e in u.edges if e[0] != e[1]))
 
 
-_TUTTE_MEMO: dict[tuple[int, tuple], MultiPoly] = {}
-
-
 def tutte(u: UndirectedGraph, cap: int | None = None) -> MultiPoly:
     """Tutte polynomial in x and y by deletion-contraction.
 
@@ -72,25 +71,18 @@ def tutte(u: UndirectedGraph, cap: int | None = None) -> MultiPoly:
     return _tutte(u.n, tuple(sorted(u.edges)))
 
 
+@lru_cache(maxsize=None)
 def _tutte(n: int, edges: tuple) -> MultiPoly:
     if not edges:
         return MultiPoly.const(1)
-    key = (n, edges)
-    hit = _TUTTE_MEMO.get(key)
-    if hit is not None:
-        return hit
     a, b = edges[-1]
     rest = edges[:-1]
     if a == b:
-        result = MultiPoly.variable(Y) * _tutte(n, rest)
-    else:
-        contracted = _contract(n, rest, a, b)
-        if _beta0(n, rest) > _beta0(n, edges):  # removing it disconnects: bridge
-            result = MultiPoly.variable(X) * _tutte(*contracted)
-        else:
-            result = _tutte(n, rest) + _tutte(*contracted)
-    _TUTTE_MEMO[key] = result
-    return result
+        return MultiPoly.variable(Y) * _tutte(n, rest)
+    contracted = _contract(n, rest, a, b)
+    if _beta0(n, rest) > _beta0(n, edges):  # removing it disconnects: bridge
+        return MultiPoly.variable(X) * _tutte(*contracted)
+    return _tutte(n, rest) + _tutte(*contracted)
 
 
 def _contract(n: int, edges: tuple, a: int, b: int) -> tuple[int, tuple]:
@@ -131,18 +123,17 @@ def universal_potts(
 ) -> FormalSum:
     """Sum of every undirected (n,k) graph weighted by its partition-function
     value at (q0, v0); with shaved=True the weight is taken after deleting
-    the graph's loops."""
+    the graph's loops.  The value depends only on the edge multiset, so it
+    is computed once per multiset and given to every ordering of it."""
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
     q0, v0 = Fraction(q0), Fraction(v0)
     check_cap((n * (n + 1) // 2) ** k, cap)
-    value_cache: dict[tuple, Fraction] = {}
     terms: dict = {}
-    for u in enumerate_undirected(n, k, cap=cap):
-        src = shave(u) if shaved else u
-        key = tuple(sorted(src.edges))
-        val = value_cache.get(key)
-        if val is None:
-            val = potts_value(src, q0, v0, cap=cap)
-            value_cache[key] = val
+    for multiset in combinations_with_replacement(undirected_edge_types(n), k):
+        u = UndirectedGraph(n, multiset)
+        val = potts_value(shave(u) if shaved else u, q0, v0, cap=cap)
         if val:
-            terms[u] = val
+            for seq in distinct_permutations(multiset):
+                terms[UndirectedGraph(n, seq)] = val
     return FormalSum(n, k, terms, UndirectedGraph)

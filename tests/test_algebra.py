@@ -23,7 +23,7 @@ from graphdet import (
     universal_det,
     x_sum,
 )
-from graphdet import algebra
+from graphdet import algebra, graphs
 from graphdet.algebra import class_sum, distinct_permutations
 
 D = DirectedGraph
@@ -207,17 +207,31 @@ def test_class_sum_matches_stream_filter():
                     assert class_sum(n, k, cls, I, signed=True) == x_sum(stream, n=n, k=k)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: class_sum(2, 1, "AC", (5,)),
+    lambda: class_sum(2, 2, "SSC", (0, 1), signed=True),
+    lambda: universal_det(2, 1, (3,)),
+    lambda: list(enumerate_class(2, 1, "AC", (5,))),
+], ids=["class_sum-AC", "class_sum-SSC", "universal_det", "enumerate_class"])
+def test_vertex_set_out_of_range_raises(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_one_classified_walk_per_degree(monkeypatch):
     # theta(3) reads the walks at k = 4, 2 and 1 and classifies each
-    # multiset once: C(12,4) + C(10,2) + C(9,1) calls
+    # multiset once: C(12,4) + C(10,2) + C(9,1) calls.  The walk keeps the
+    # results in its buckets only, so the classification cache stays as it is.
     calls = []
-    classify_key = algebra._classify_key
+    classify_multiset = algebra._classify
 
     def counted(n, key):
         calls.append(key)
-        return classify_key(n, key)
+        return classify_multiset(n, key)
 
-    monkeypatch.setattr(algebra, "_classify_key", counted)
+    monkeypatch.setattr(algebra, "_classify", counted)
     algebra._class_walk.cache_clear()
+    cached = len(graphs._DIR_CACHE)
     theta(3)
     assert len(calls) == len(set(calls)) == 495 + 45 + 9
+    assert len(graphs._DIR_CACHE) == cached

@@ -53,6 +53,30 @@ def test_enumerate(capsys):
     assert code == 0 and out.strip() == "4"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["det", "--n", "2", "--k", "2", "--minor", "1/2", "--sinks", "1"], "--sinks"),
+    (["det", "--n", "2", "--k", "2", "--sinks", "1", "--isolated", "2"], "--isolated"),
+    (["verify", "diag", "--n", "2", "--k", "2", "--sinks", "1", "--isolated", "2"],
+     "--isolated"),
+    (["enumerate", "--n", "2", "--k", "1", "--class", "ssc", "--sinks", "1"], "--sinks"),
+    (["enumerate", "--n", "2", "--k", "1", "--class", "ac", "--isolated", ""],
+     "--isolated"),
+    (["enumerate", "--n", "2", "--k", "1", "--isolated", "1"], "--isolated"),
+    (["enumerate", "--n", "2", "--k", "1", "--sinks", "1"], "--sinks"),
+], ids=["det-minor-sinks", "det-sinks-isolated", "verify-sinks-isolated",
+        "enumerate-ssc-sinks", "enumerate-ac-isolated", "enumerate-isolated",
+        "enumerate-sinks"])
+def test_ignored_vertex_set_flag_exits_2(capsys, argv, flag):
+    # a vertex-set flag the command would drop is refused, by argparse where
+    # two flags exclude each other
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and flag in out.err
+
+
 def test_det_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "d.fs"
     code, _, _ = run(capsys, "det", "--n", "2", "--k", "2", "-o", str(out_path))

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from types import ModuleType
 
+import pytest
+
 from graphdet import (
     DirectedGraph,
     MultiPoly,
@@ -94,6 +96,20 @@ def test_universal_potts_specval_coefficients():
         s = universal_potts(n, k, -1, -1)
         for u in enumerate_undirected(n, k):
             assert s.coeff(u) == (-1) ** n * count_orientations(u, "AC")
+
+
+@pytest.mark.parametrize("shaved", [False, True], ids=["plain", "shaved"])
+@pytest.mark.parametrize("q0, v0", [(-1, 1), (-1, -1)])
+def test_universal_potts_weighs_every_sequence(shaved, q0, v0):
+    # one value per edge multiset, given to all its orderings, equals the
+    # value of each numbered graph taken on its own
+    for n in (1, 2, 3):
+        for k in range(4):
+            want = FormalSum(n, k, {
+                u: potts_value(shave(u) if shaved else u, q0, v0)
+                for u in enumerate_undirected(n, k)
+            }, U)
+            assert universal_potts(n, k, q0, v0, shaved=shaved) == want, (n, k)
 
 
 def test_shaved_element_is_forgetful_det_sum():
