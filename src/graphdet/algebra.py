@@ -35,13 +35,12 @@ from .graphs import (
     _vertex_set,
     beta0,
     check_cap,
+    check_shape,
     classify,
     directed_edge_types,
     forget,
     subgraphs,
 )
-
-Coefficient = Fraction
 
 
 def _coeff(value) -> Fraction:
@@ -52,7 +51,62 @@ def _coeff(value) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-class FormalSum:
+class _LinearSum:
+    """The vector-space structure that FormalSum and SymmetricSum share.
+
+    ``_terms`` maps basis keys (numbered graphs, or sorted edge multisets)
+    to nonzero Fractions.  A subclass supplies ``_like(terms, kind)``, a sum
+    of its own class and degree over clean terms, and every query that
+    depends on its key type.
+    """
+
+    __slots__ = ()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        kind = _common_kind(self, other)
+        terms = dict(self._terms)
+        for key, c in other._terms.items():
+            c2 = terms.get(key, 0) + c
+            if c2:
+                terms[key] = c2
+            else:
+                terms.pop(key, None)
+        return self._like(terms, kind)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __neg__(self):
+        return (-1) * self
+
+    def scale(self, c):
+        c = _coeff(c)
+        terms = {key: c * x for key, x in self._terms.items()} if c else {}
+        return self._like(terms, self.kind)
+
+    def __rmul__(self, c):
+        if isinstance(c, (int, Fraction)):
+            return self.scale(c)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if isinstance(other, _LinearSum):
+            return concat_product(self, other)
+        return NotImplemented
+
+
+class FormalSum(_LinearSum):
     """Homogeneous formal sum: finite map graph -> nonzero rational coefficient.
 
     All keys must share the same vertex count n, degree k and graph kind
@@ -65,8 +119,7 @@ class FormalSum:
     __slots__ = ("n", "k", "kind", "_terms")
 
     def __init__(self, n: int, k: int, terms=None, kind=None):
-        if n < 1 or k < 0:
-            raise ValueError("need n >= 1 and k >= 0")
+        check_shape(n, k)
         self.n = n
         self.k = k
         clean: dict = {}
@@ -86,6 +139,9 @@ class FormalSum:
         self.kind = kind or DirectedGraph
         self._terms = clean
 
+    def _like(self, terms: dict, kind) -> "FormalSum":
+        return FormalSum(self.n, self.k, terms, kind)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -101,13 +157,6 @@ class FormalSum:
         return self
 
     # -- basic queries -----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
 
     def __len__(self):
         return len(self._terms)
@@ -148,44 +197,6 @@ class FormalSum:
 
     def __hash__(self):
         return hash((self.n, self.k, self.kind, frozenset(self._terms.items())))
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        if not isinstance(other, FormalSum):
-            return NotImplemented
-        kind = _common_kind(self, other)
-        terms = dict(self._terms)
-        for g, c in other._terms.items():
-            c2 = terms.get(g, 0) + c
-            if c2:
-                terms[g] = c2
-            else:
-                terms.pop(g, None)
-        return FormalSum(self.n, self.k, terms, kind)
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def scale(self, c) -> "FormalSum":
-        c = _coeff(c)
-        terms = {g: c * x for g, x in self._terms.items()} if c else {}
-        return FormalSum(self.n, self.k, terms, self.kind)
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, (FormalSum, SymmetricSum)):
-            return concat_product(self, other)
-        return NotImplemented
 
     def map_graphs(self, fn: Callable, kind=None) -> "FormalSum":
         """Linear extension of a degree-preserving map on basis graphs;
@@ -232,8 +243,8 @@ def orderings(multiset: tuple) -> int:
     return factorial(len(multiset)) // multiplicity_factor(multiset)
 
 
-class SymmetricSum:
-    """Homogeneous directed sum invariant under renumbering of the edges.
+class SymmetricSum(_LinearSum):
+    """Homogeneous sum invariant under renumbering of the edges.
 
     ``_terms`` maps each sorted edge tuple (edge multiset) to the nonzero
     coefficient that every distinct ordering of it carries.  As a vector it
@@ -241,23 +252,28 @@ class SymmetricSum:
     it answers the same queries: ``len()`` counts numbered graphs,
     ``coeff(g)`` looks up ``sorted(g.edges)``, ``terms()`` and
     ``support()`` list the expansion, and ``==`` against a FormalSum
-    compares expansions.  Every class sum is directed, so the kind is fixed.
+    compares expansions.  The kind defaults to directed, as every class
+    sum is; ``universal_potts`` builds undirected ones.
     """
 
-    __slots__ = ("n", "k", "_terms", "_expanded")
-    kind = DirectedGraph
+    __slots__ = ("n", "k", "kind", "_terms", "_expanded")
 
-    def __init__(self, n: int, k: int, terms: dict):
-        """Wrap clean terms as they are: sorted edge tuples of length k
-        mapped to nonzero Fractions.  The dict is kept, not copied."""
+    def __init__(self, n: int, k: int, terms: dict, kind=DirectedGraph):
+        """Wrap clean terms as they are: sorted tuples of k edges of the
+        given kind (canonical (min, max) pairs when undirected) mapped to
+        nonzero Fractions.  The dict is kept, not copied."""
         self.n = n
         self.k = k
+        self.kind = kind
         self._terms = terms
         self._expanded = None
 
+    def _like(self, terms: dict, kind) -> "SymmetricSum":
+        return SymmetricSum(self.n, self.k, terms, kind)
+
     @classmethod
-    def zero(cls, n: int, k: int) -> "SymmetricSum":
-        return cls(n, k, {})
+    def zero(cls, n: int, k: int, kind=DirectedGraph) -> "SymmetricSum":
+        return cls(n, k, {}, kind)
 
     def expand(self, cap: int | None = None) -> FormalSum:
         """The FormalSum over every numbering of every multiset (memoized).
@@ -265,13 +281,13 @@ class SymmetricSum:
         queries that expand implicitly use the default cap."""
         if self._expanded is None:
             check_cap(len(self), cap)
-            n = self.n
+            n, kind = self.n, self.kind
             terms = {
-                DirectedGraph(n, seq): c
+                kind(n, seq): c
                 for multiset, c in self._terms.items()
                 for seq in distinct_permutations(multiset)
             }
-            self._expanded = FormalSum(self.n, self.k, terms, DirectedGraph)
+            self._expanded = FormalSum(self.n, self.k, terms, kind)
         return self._expanded
 
     def diff(self, other) -> tuple[list[tuple], int]:
@@ -293,18 +309,11 @@ class SymmetricSum:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
     def __len__(self):
         return sum(orderings(m) for m in self._terms)
 
     def coeff(self, g) -> Fraction:
-        if type(g) is not DirectedGraph or (g.n, g.k) != (self.n, self.k):
+        if type(g) is not self.kind or (g.n, g.k) != (self.n, self.k):
             return Fraction(0)
         return self._terms.get(tuple(sorted(g.edges)), Fraction(0))
 
@@ -316,7 +325,7 @@ class SymmetricSum:
 
     def __eq__(self, other):
         if isinstance(other, SymmetricSum):
-            return (self.n, self.k) == (other.n, other.k) and (
+            return (self.n, self.k, self.kind) == (other.n, other.k, other.kind) and (
                 self._terms == other._terms
             )
         if isinstance(other, FormalSum):
@@ -326,49 +335,16 @@ class SymmetricSum:
     def __hash__(self):
         return hash(self.expand())
 
-    # -- linear structure ----------------------------------------------------
+    # -- mixing with a FormalSum expands -------------------------------------
 
     def __add__(self, other):
         if isinstance(other, FormalSum):
             return self.expand() + other
-        if not isinstance(other, SymmetricSum):
-            return NotImplemented
-        _common_kind(self, other)  # raises on a degree mismatch
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            c2 = terms.get(m, 0) + c
-            if c2:
-                terms[m] = c2
-            else:
-                terms.pop(m, None)
-        return SymmetricSum(self.n, self.k, terms)
+        return super().__add__(other)
 
     def __radd__(self, other):
         if isinstance(other, FormalSum):
             return other + self.expand()
-        return NotImplemented
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def scale(self, c) -> "SymmetricSum":
-        c = _coeff(c)
-        terms = {m: c * x for m, x in self._terms.items()} if c else {}
-        return SymmetricSum(self.n, self.k, terms)
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, (FormalSum, SymmetricSum)):
-            return concat_product(self, other)
         return NotImplemented
 
     def map_graphs(self, fn: Callable, kind=None) -> FormalSum:
@@ -565,6 +541,7 @@ def _class_walk(n: int, k: int) -> dict:
 def _walk(n: int, k: int, cap: int | None) -> dict:
     """The buckets of the walk at (n, k), once its C(n^2+k-1, k) multisets
     are within the cap."""
+    check_shape(n, k)
     check_cap(comb(n * n + k - 1, k), cap)
     return _class_walk(n, k)
 
@@ -597,8 +574,7 @@ def universal_det(
     graphs whose isolated vertices are exactly I.  Zero whenever k < n - |I|.
     """
     iso = _vertex_set(n, I)
-    if k < 0:
-        raise ValueError("need k >= 0")
+    check_shape(n, k)
     if k < n - len(iso):
         return SymmetricSum.zero(n, k)
     signs = _walk(n, k, cap).get(("SSC", iso), {})
@@ -615,8 +591,7 @@ def universal_codim1(
     with G's own, as an edge joining two components lies on no cycle."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("vertex out of range")
-    if k < 0:
-        raise ValueError("need k >= 0")
+    check_shape(n, k)
     terms = {}
     for big, c in _walk(n, k + 1, cap).get(("SSC", frozenset()), {}).items():
         if (i, j) in big:

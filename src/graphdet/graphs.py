@@ -51,13 +51,30 @@ def effective_cap(cap: int | None = None) -> int:
     It bounds the cases an enumeration walks: the edge multisets for the
     class sums and universal elements, and the numbered graphs a sum of
     them expands into; elsewhere the edge sequences, edge subsets or head
-    functions enumerated, times any work per case."""
+    functions enumerated, times any work per case.  A cap that is not a
+    non-negative integer is refused under the name it came from."""
     if cap is not None:
+        if type(cap) is not int or cap < 0:
+            raise ValueError(
+                f"the cap argument must be a non-negative integer, got {cap!r}"
+            )
         return cap
     env = os.environ.get(CAP_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"{CAP_ENV_VAR} must be a non-negative integer, got {env!r}")
+    return limit
+
+
+def check_shape(n: int, k: int) -> None:
+    """Refuse a vertex count below 1 or a negative edge count."""
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
 
 
 def check_cap(size: int, cap: int | None = None) -> None:
@@ -375,8 +392,7 @@ def undirected_edge_types(n: int) -> list[Edge]:
 def enumerate_graphs(n: int, k: int, cap: int | None = None) -> Iterator[DirectedGraph]:
     """All directed graphs with n vertices and k numbered edges, in
     lexicographic order of the edge sequence; n^(2k) of them."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+    check_shape(n, k)
     check_cap((n * n) ** k, cap)
     for edges in itertools.product(directed_edge_types(n), repeat=k):
         yield DirectedGraph(n, edges)
@@ -384,8 +400,7 @@ def enumerate_graphs(n: int, k: int, cap: int | None = None) -> Iterator[Directe
 
 def enumerate_undirected(n: int, k: int, cap: int | None = None) -> Iterator[UndirectedGraph]:
     """All undirected graphs with n vertices and k numbered edges."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+    check_shape(n, k)
     check_cap((n * (n + 1) // 2) ** k, cap)
     for edges in itertools.product(undirected_edge_types(n), repeat=k):
         yield UndirectedGraph(n, edges)

@@ -91,17 +91,12 @@ class MultiPoly:
             return cls.const(1)
         return cls({((var, exp),): Fraction(1)})
 
-    one = None  # filled in below
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self._terms.items())
-
-    def variables(self) -> set[Variable]:
-        return {var for mono in self._terms for var, _ in mono}
 
     def __bool__(self):
         return bool(self._terms)
@@ -259,9 +254,6 @@ class MultiPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-MultiPoly.one = MultiPoly.const(1)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .algebra import FormalSum, distinct_permutations
+from .algebra import SymmetricSum
 from .graphs import (
     UndirectedGraph,
     _beta0,
     check_cap,
+    check_shape,
     classify,
     orientations,
     subset_positions,
@@ -120,13 +121,12 @@ def universal_potts(
     v0,
     shaved: bool = False,
     cap: int | None = None,
-) -> FormalSum:
+) -> SymmetricSum:
     """Sum of every undirected (n,k) graph weighted by its partition-function
     value at (q0, v0); with shaved=True the weight is taken after deleting
-    the graph's loops.  The value depends only on the edge multiset, so it
-    is computed once per multiset and given to every ordering of it."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+    the graph's loops.  The value depends only on the edge multiset, so the
+    sum is an undirected SymmetricSum with one value per multiset."""
+    check_shape(n, k)
     q0, v0 = Fraction(q0), Fraction(v0)
     check_cap((n * (n + 1) // 2) ** k, cap)
     terms: dict = {}
@@ -134,6 +134,5 @@ def universal_potts(
         u = UndirectedGraph(n, multiset)
         val = potts_value(shave(u) if shaved else u, q0, v0, cap=cap)
         if val:
-            for seq in distinct_permutations(multiset):
-                terms[UndirectedGraph(n, seq)] = val
-    return FormalSum(n, k, terms, UndirectedGraph)
+            terms[multiset] = val
+    return SymmetricSum(n, k, terms, UndirectedGraph)

@@ -36,6 +36,7 @@ from .graphs import (
     UndirectedGraph,
     _classify_key,
     check_cap,
+    check_shape,
     classify,
     directed_edge_types,
     subset_positions,
@@ -165,6 +166,7 @@ def _enumerate(
     actual) pair of a mismatch, on every k-edge multiset over
     ``edge_types(n)``.  Failures are listed per edge sequence, in
     enumeration order; the cap counts ``per_case`` units per sequence."""
+    check_shape(n, k)
     t0 = time.perf_counter()
     etypes = edge_types(n)
     total = len(etypes) ** k
@@ -424,6 +426,8 @@ def verify_kirchhoff_codim1(n: int, i: int, j: int, cap=None) -> VerificationRep
     """Off-diagonal minor of the zero-row-sum matrix against the sum over
     trees directed towards vertex i, with the derived sign (-1)^(i+j+n-1);
     also records whether the classical (-1)^(n-1) phrasing holds."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("vertex out of range")
     if i == j:
         raise ValueError("need i != j")
     t0 = time.perf_counter()
@@ -592,6 +596,7 @@ def verify_operator_laws(n: int, k: int, cap=None) -> VerificationReport:
     idempotent with loop-free sink-preserving output, and pairing with the
     zero-row-sum matrix factors through it; on the full graph basis.  A graph
     violating a position law is reported under that law's name."""
+    check_shape(n, k)
     t0 = time.perf_counter()
     etypes = directed_edge_types(n)
     total = len(etypes) ** k

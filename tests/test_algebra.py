@@ -218,6 +218,17 @@ def test_vertex_set_out_of_range_raises(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: class_sum(0, 1, "AC"),
+    lambda: universal_det(0, 1),
+    lambda: class_sum(0, 0, "AC"),
+    lambda: class_sum(2, -1, "AC"),
+], ids=["class_sum-n0", "universal_det-n0", "class_sum-n0-k0", "class_sum-k-1"])
+def test_walk_refuses_bad_shape(build):
+    with pytest.raises(ValueError, match="need n >= 1 and k >= 0"):
+        build()
+
+
 def test_one_classified_walk_per_degree(monkeypatch):
     # theta(3) reads the walks at k = 4, 2 and 1 and classifies each
     # multiset once: C(12,4) + C(10,2) + C(9,1) calls.  The walk keeps the

@@ -326,3 +326,41 @@ def test_laplace_keeps_kind_of_zero_sum(tmp_path, capsys):
     src.write_text("FSU 1 1\n1/1 | 1 1\n")
     code, out, _ = run(capsys, "laplace", str(src))
     assert code == 0 and out == "FSU 1 1\n"
+
+
+SHAPE = "need n >= 1 and k >= 0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "direct", "--n", "0", "--k", "2"], SHAPE),
+    (["verify", "direct-prime", "--n", "0", "--k", "2"], SHAPE),
+    (["verify", "mobius", "--n", "0", "--k", "2"], SHAPE),
+    (["verify", "specval", "--n", "0", "--k", "2"], SHAPE),
+    (["verify", "operator-laws", "--n", "0", "--k", "2"], SHAPE),
+    (["verify", "operator-laws", "--n", "2", "--k", "-1"], SHAPE),
+    (["det", "--n", "0", "--k", "0"], SHAPE),
+    (["verify", "kirchhoff-codim1", "--n", "0", "--minor", "1/2"],
+     "vertex out of range"),
+], ids=["direct", "direct-prime", "mobius", "specval", "operator-laws-n0",
+        "operator-laws-k-1", "det", "kirchhoff-codim1"])
+def test_out_of_range_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("env, flags, source", [
+    ("abc", [], "GRAPHDET_CAP"),
+    ("-1", [], "GRAPHDET_CAP"),
+    ("100", ["--cap", "-1"], "cap argument"),
+], ids=["env-text", "env-negative", "flag-negative"])
+def test_bad_cap_exits_2(monkeypatch, capsys, env, flags, source):
+    monkeypatch.setenv("GRAPHDET_CAP", env)
+    code, out, err = run(capsys, "verify", "diag", "--n", "2", "--k", "1", *flags)
+    assert code == 2 and out == "" and source in err
+
+
+def test_cap_zero_is_a_cap(capsys):
+    code, _, err = run(capsys, "verify", "diag", "--n", "2", "--k", "1", "--cap", "0")
+    assert code == 3 and "exceeds the cap of 0" in err
+    code, out, _ = run(capsys, "det", "--n", "6", "--k", "5", "--cap", "0")  # zero by degree
+    assert code == 0 and out == "FS 6 5\n"

@@ -1,7 +1,8 @@
 """Symmetric sums: the native multiset paths against the numbered expansion.
 
 Every class sum and universal element is a SymmetricSum, one coefficient
-per edge multiset.  ``laplace`` and ``pairing`` run on the multisets
+per edge multiset; the universal partition-function elements are
+undirected ones.  ``laplace`` and ``pairing`` run on the multisets
 directly; here each is checked against the same operation on ``expand()``,
 the FormalSum over every numbering, which ``laplace`` resolves position by
 position and which ``_pair_numbered`` pairs graph by graph.
@@ -28,6 +29,7 @@ from graphdet import (
     theta,
     universal_codim1,
     universal_det,
+    universal_potts,
 )
 from graphdet.algebra import class_sum, multiplicity_factor, orderings
 from graphdet.graphs import directed_edge_types
@@ -76,6 +78,14 @@ def _universal_elements(n, k):
                 yield class_sum(n, k, cls, I, signed)
 
 
+def _potts_elements(n, k):
+    """The universal partition-function elements at (-1, 1) and (-1, -1),
+    plain and shaved: undirected symmetric sums."""
+    for q0, v0 in ((-1, 1), (-1, -1)):
+        for shaved in (False, True):
+            yield universal_potts(n, k, q0, v0, shaved)
+
+
 def _check_against_expansion(s: SymmetricSum, matrices, numbered_pairing=True):
     e = s.expand()
     assert isinstance(e, FormalSum) and e.kind is s.kind
@@ -102,6 +112,11 @@ def test_native_paths_match_expansion_exhaustively(n):
         for s in _universal_elements(n, k):
             _check_against_expansion(s, matrices)
             seen += not s.is_zero
+        for s in _potts_elements(n, k):
+            # pairing is defined for directed sums only
+            assert isinstance(s, SymmetricSum) and s.kind is UndirectedGraph
+            _check_against_expansion(s, ())
+            seen += not s.is_zero
     assert seen > 0
 
 
@@ -124,6 +139,21 @@ def test_multiset_counts():
     assert s.kind is D and (s - s).kind is D and laplace(s).kind is D
     with pytest.raises(ValueError):
         s + SymmetricSum.zero(2, 1)
+
+
+def test_undirected_kind_is_kept():
+    z = SymmetricSum.zero(2, 1, UndirectedGraph)
+    for s in (z, z - z, z.scale(3), laplace(z)):
+        assert s.kind is UndirectedGraph and format_formal_sum(s) == "FSU 2 1\n"
+    u = universal_potts(2, 2, -1, -1)
+    with pytest.raises(TypeError):
+        pairing(WeightMatrix.symbolic(2), u)
+    d = universal_det(2, 2)
+    assert u and d
+    with pytest.raises(ValueError):
+        d + u
+    with pytest.raises(ValueError):
+        u + d
 
 
 def test_mixed_arithmetic_expands():

@@ -45,6 +45,14 @@ from graphdet.poly import MultiPoly, w
 var = MultiPoly.variable
 
 
+@pytest.mark.parametrize("check, n, k", [
+    ("direct", 0, 2), ("specval", 0, 2), ("operator_laws", 0, 2), ("operator_laws", 2, -1),
+])
+def test_checks_refuse_bad_shape(check, n, k):
+    with pytest.raises(ValueError, match="need n >= 1 and k >= 0"):
+        run_check(check, {"n": n, "k": k})
+
+
 def test_direct_small_cells():
     for n, k in [(1, 0), (1, 1), (2, 0), (2, 2), (3, 2)]:
         assert verify_direct(n, k).ok
