@@ -139,6 +139,15 @@ class FormalSum(_LinearSum):
         self.kind = kind or DirectedGraph
         self._terms = clean
 
+    @classmethod
+    def _wrap(cls, n: int, k: int, terms: dict, kind) -> "FormalSum":
+        """Wrap clean terms as they are: graphs of the given kind with n
+        vertices and k edges mapped to nonzero Fractions.  The dict is
+        kept, not copied."""
+        s = cls.__new__(cls)
+        s.n, s.k, s.kind, s._terms = n, k, kind, terms
+        return s
+
     def _like(self, terms: dict, kind) -> "FormalSum":
         return FormalSum(self.n, self.k, terms, kind)
 
@@ -189,6 +198,8 @@ class FormalSum(_LinearSum):
         return out, len(graphs)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FormalSum):
             return NotImplemented
         return (self.n, self.k, self.kind) == (other.n, other.k, other.kind) and (

@@ -33,22 +33,26 @@ def _replacements(kind, n: int, a: int):
 
 
 def b_op(p: int, s: FormalSum) -> FormalSum:
-    """Resolve a loop in position p, linearly over the sum."""
-    s = s.expand()
+    """Resolve a loop in position p, linearly over the sum.  A sum with no
+    loop in position p is fixed, and is returned as it is."""
     if not (1 <= p <= s.k):
         raise ValueError(f"edge position {p} out of range 1..{s.k}")
+    s = s.expand()
+    i = p - 1
+    if not any(g.edges[i][0] == g.edges[i][1] for g in s._terms):
+        return s
     terms: dict = {}
     for g, c in s._terms.items():
-        a, b = g.edges[p - 1]
+        a, b = g.edges[i]
         if a != b:
-            terms[g] = terms.get(g, 0) + c
+            terms[g] = terms[g] + c if g in terms else c
             continue
         if s.n == 1:
             continue  # the operator vanishes on single-vertex loops
         for e in _replacements(type(g), s.n, a):
-            h = type(g)(s.n, g.edges[: p - 1] + (e,) + g.edges[p:])
-            terms[h] = terms.get(h, 0) - c
-    return FormalSum(s.n, s.k, terms, s.kind)
+            h = type(g)(s.n, g.edges[:i] + (e,) + g.edges[p:])
+            terms[h] = terms[h] - c if h in terms else -c
+    return FormalSum._wrap(s.n, s.k, {h: c for h, c in terms.items() if c}, s.kind)
 
 
 @overload

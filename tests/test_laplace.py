@@ -1,5 +1,8 @@
 """The loop-resolving operators and the Laplace operator."""
 
+from fractions import Fraction
+from itertools import combinations, product
+
 import pytest
 
 from graphdet import (
@@ -9,6 +12,7 @@ from graphdet import (
     b_op,
     classify,
     enumerate_graphs,
+    enumerate_undirected,
     forget_sum,
     laplace,
     laplace_matrix,
@@ -17,6 +21,7 @@ from graphdet import (
     universal_det,
     WeightMatrix,
 )
+from graphdet.laplace import _replacements
 
 D = DirectedGraph
 U = UndirectedGraph
@@ -38,6 +43,62 @@ def test_b_op_examples():
     assert b_op(1, FormalSum.single(D(1, ((1, 1),)))).is_zero
     with pytest.raises(ValueError):
         b_op(3, s)
+    # the position is checked before the sum is expanded: this one has
+    # 19,973,520 numbered graphs, past the default cap
+    with pytest.raises(ValueError, match=r"edge position 9 out of range 1\.\.8"):
+        b_op(9, universal_det(3, 8))
+
+
+def _b_op_reference(p, s):
+    """b_op without its shortcuts: every sum is rebuilt through the
+    validating constructor, loop or not."""
+    s = s.expand()
+    if not (1 <= p <= s.k):
+        raise ValueError(f"edge position {p} out of range 1..{s.k}")
+    terms: dict = {}
+    for g, c in s._terms.items():
+        a, b = g.edges[p - 1]
+        if a != b:
+            terms[g] = terms.get(g, 0) + c
+            continue
+        if s.n == 1:
+            continue
+        for e in _replacements(type(g), s.n, a):
+            h = type(g)(s.n, g.edges[: p - 1] + (e,) + g.edges[p:])
+            terms[h] = terms.get(h, 0) - c
+    return FormalSum(s.n, s.k, terms, s.kind)
+
+
+def _check_b_op(p, s):
+    out = b_op(p, s)
+    assert out == _b_op_reference(p, s)
+    assert out.kind is s.kind
+    assert all(type(c) is Fraction and c for c in out._terms.values())
+    has_loop = any(g.edges[p - 1][0] == g.edges[p - 1][1] for g in s._terms)
+    assert (out is s) == (not has_loop)
+
+
+def test_b_op_matches_reference_on_single_graphs():
+    for n, k in product(range(1, 4), range(1, 4)):
+        for g in [*enumerate_graphs(n, k), *enumerate_undirected(n, k)]:
+            for p in range(1, k + 1):
+                _check_b_op(p, FormalSum.single(g))
+
+
+def test_b_op_matches_reference_on_sums():
+    for n, k in [(2, 2), (3, 1)]:
+        for graphs in [list(enumerate_graphs(n, k)), list(enumerate_undirected(n, k))]:
+            for r in (2, 3):
+                for combo in combinations(graphs, r):
+                    for signs in product((1, -1), repeat=r):
+                        s = FormalSum(n, k, dict(zip(combo, signs)))
+                        for p in range(1, k + 1):
+                            _check_b_op(p, s)
+    # a loop resolved onto a term already present cancels it
+    for kind in (D, U):
+        s = FormalSum(2, 1, {kind(2, ((1, 1),)): 1, kind(2, ((1, 2),)): 1})
+        z = b_op(1, s)
+        assert z.is_zero and z == FormalSum.zero(2, 1, kind) and z.kind is kind
 
 
 def test_laplace_examples():

@@ -265,6 +265,46 @@ def test_operator_laws_list_every_failing_sequence_in_order(monkeypatch):
         assert run_check("operator_laws", {"n": n, "k": k}).failures == want
 
 
+def test_operator_laws_catch_a_fault_only_commute_sees(monkeypatch):
+    # b_1 doubles any result with more than n - 1 terms: it resolves loops
+    # at position 1 and at another position of the same sequence, so only
+    # b_1 b_q != b_q b_1 breaks, and only for n >= 3
+    b_op = verify.b_op
+
+    def doubled(p, s):
+        out = b_op(p, s)
+        return 2 * out if p == 1 and len(out) > s.n - 1 else out
+
+    monkeypatch.setattr(verify, "b_op", doubled)
+    for n, k, count in [(3, 2, 9), (3, 3, 135)]:
+        want = []
+        for seq in product(directed_edge_types(n), repeat=k):
+            bad = _position_laws(n, k, seq) or _multiset_laws(n, k, seq)
+            if bad is not None:
+                assert bad == "commute"
+                want.append(_failure(seq, "law:commute", "violated"))
+        assert len(want) == count
+        assert run_check("operator_laws", {"n": n, "k": k}).failures == want
+
+
+def test_operator_laws_call_b_op_on_every_sequence_and_position(monkeypatch):
+    # k singles, k idempotence and k(k - 1) commutation calls per sequence;
+    # a check that skipped some would miss faults that depend on the edge
+    # numbering
+    b_op = verify.b_op
+    calls = []
+
+    def counted(p, s):
+        calls.append(p)
+        return b_op(p, s)
+
+    monkeypatch.setattr(verify, "b_op", counted)
+    for n, k, want in [(3, 2, 486), (2, 3, 768)]:
+        calls.clear()
+        assert verify_operator_laws(n, k).ok
+        assert len(calls) == want == n ** (2 * k) * k * (k + 1)
+
+
 @st.composite
 def n4_sequences(draw):
     """An edge sequence of 3 or 4 edges on 4 vertices, beyond the grid."""
