@@ -16,7 +16,7 @@ of it.  ``laplace`` and ``pairing`` work on the multisets directly.  A
 SymmetricSum is expanded into the FormalSum over its numberings only where
 edge order matters: ``concat_product``, ``b_op``, ``map_graphs`` and
 ``forget_sum``, text output, ``terms()``/``support()``, and comparison or
-addition with a FormalSum.  The expansion is memoized on the instance.
+addition with a FormalSum.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class SymmetricSum(_LinearSum):
     sum is; ``universal_potts`` builds undirected ones.
     """
 
-    __slots__ = ("n", "k", "kind", "_terms", "_expanded")
+    __slots__ = ("n", "k", "kind", "_terms")
 
     def __init__(self, n: int, k: int, terms: dict, kind=DirectedGraph):
         """Wrap clean terms as they are: sorted tuples of k edges of the
@@ -277,7 +277,6 @@ class SymmetricSum(_LinearSum):
         self.k = k
         self.kind = kind
         self._terms = terms
-        self._expanded = None
 
     def _like(self, terms: dict, kind) -> "SymmetricSum":
         return SymmetricSum(self.n, self.k, terms, kind)
@@ -287,19 +286,18 @@ class SymmetricSum(_LinearSum):
         return cls(n, k, {}, kind)
 
     def expand(self, cap: int | None = None) -> FormalSum:
-        """The FormalSum over every numbering of every multiset (memoized).
-        The cap counts the numbered graphs it builds, ``len(self)``; the
-        queries that expand implicitly use the default cap."""
-        if self._expanded is None:
-            check_cap(len(self), cap)
-            n, kind = self.n, self.kind
-            terms = {
-                kind(n, seq): c
-                for multiset, c in self._terms.items()
-                for seq in distinct_permutations(multiset)
-            }
-            self._expanded = FormalSum(self.n, self.k, terms, kind)
-        return self._expanded
+        """The FormalSum over every numbering of every multiset, built anew
+        on each call.  The cap counts the numbered graphs it builds,
+        ``len(self)``; the queries that expand implicitly use the default
+        cap."""
+        check_cap(len(self), cap)
+        n, kind = self.n, self.kind
+        terms = {
+            kind(n, seq): c
+            for multiset, c in self._terms.items()
+            for seq in distinct_permutations(multiset)
+        }
+        return FormalSum(n, self.k, terms, kind)
 
     def diff(self, other) -> tuple[list[tuple], int]:
         """Graph-by-graph mismatches against another sum; see FormalSum.diff.

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 identity failure, 2 usage or parse error,
+Exit codes: 0 success, 1 identity failure, 2 usage, parse or file error,
 3 enumeration cap exceeded.
 """
 
@@ -23,7 +23,6 @@ from .algebra import (
 from .graphs import (
     CapExceeded,
     DirectedGraph,
-    GraphFormatError,
     UndirectedGraph,
     check_cap,
     classify,
@@ -59,6 +58,13 @@ def _parse_minor(text: str) -> tuple[int, int]:
         return int(i), int(j)
     except ValueError:
         raise SystemExit2(f"bad minor argument {text!r}; expected 'i/j'")
+
+
+def _parse_rational(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SystemExit2(f"bad {flag} value {text!r}; expected a rational, e.g. -1/2")
 
 
 class SystemExit2(Exception):
@@ -172,9 +178,9 @@ def cmd_potts(args) -> int:
     if args.q is not None or args.v is not None:
         subs = {}
         if args.q is not None:
-            subs[Q] = Fraction(args.q)
+            subs[Q] = _parse_rational("--q", args.q)
         if args.v is not None:
-            subs[V] = Fraction(args.v)
+            subs[V] = _parse_rational("--v", args.v)
         print(z.evaluate(subs))
     else:
         print(z)
@@ -365,19 +371,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (SystemExit2, OSError, ValueError) as exc:
+        # GraphFormatError is a ValueError, FileNotFoundError an OSError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

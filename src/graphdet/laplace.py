@@ -2,16 +2,15 @@
 
 The position-p operator fixes any graph whose p-th edge is not a loop; a
 loop at vertex a in position p is traded for minus the sum of the n-1 edges
-(a,b), b != a, in the same position.  The Laplace operator composes these
-over all positions.  Since the position operators are commuting idempotents,
-composition order is irrelevant, and the whole operator can be applied in a
-single pass: a graph with L loops expands into (n-1)^L terms with sign
-(-1)^L, merged eagerly into the result.
+(a,b), b != a, in the same position.  The Laplace operator on a FormalSum
+is the composition of these over all positions, so a graph with L loops
+goes to (n-1)^L loop-free terms of sign (-1)^L.
 
 The Laplace operator treats every position alike, so it commutes with
 renumbering the edges and maps a SymmetricSum to a SymmetricSum; it is
 applied there once per edge multiset.  The position operators do not, and
-expand a SymmetricSum first.
+expand a SymmetricSum first.  Both take homogeneous sums only; apply
+``laplace`` to each part of a graded element.
 
 The same definition works verbatim for undirected sums; replacement edges
 are then stored canonically.
@@ -20,10 +19,9 @@ are then stored canonically.
 from __future__ import annotations
 
 import itertools
-from typing import overload
 
 from .graphs import DirectedGraph
-from .algebra import FormalSum, GradedElement, SymmetricSum, multiplicity_factor
+from .algebra import FormalSum, SymmetricSum, multiplicity_factor
 
 
 def _replacements(kind, n: int, a: int):
@@ -55,50 +53,20 @@ def b_op(p: int, s: FormalSum) -> FormalSum:
     return FormalSum._wrap(s.n, s.k, {h: c for h, c in terms.items() if c}, s.kind)
 
 
-@overload
-def laplace(s: FormalSum) -> FormalSum: ...
-@overload
-def laplace(s: SymmetricSum) -> SymmetricSum: ...
-@overload
-def laplace(s: GradedElement) -> GradedElement: ...
-
-
-def laplace(s):
-    """Apply every loop-resolving position operator at once.
+def laplace(s: FormalSum | SymmetricSum) -> FormalSum | SymmetricSum:
+    """The composition of the position operators b_1, ..., b_k; a
+    SymmetricSum gets the same image, one edge multiset at a time.
 
     Identity in degree 0; zero on any term with a loop when n = 1.  The
     output is supported on loop-free graphs only.
     """
-    if isinstance(s, GradedElement):
-        return GradedElement(
-            s.n, {k: laplace(part) for k, part in s.parts.items()}, s.kind
-        )
     if isinstance(s, SymmetricSum):
         return _laplace_multisets(s)
     if not isinstance(s, FormalSum):
-        raise TypeError("laplace expects a FormalSum, SymmetricSum or GradedElement")
-    n = s.n
-    terms: dict = {}
-    for g, c in s._terms.items():
-        loops = [p for p, (a, b) in enumerate(g.edges) if a == b]
-        if not loops:
-            terms[g] = terms.get(g, 0) + c
-            continue
-        if n == 1:
-            continue
-        sign = (-1) ** len(loops)
-        options = [_replacements(type(g), n, g.edges[p][0]) for p in loops]
-        base = list(g.edges)
-        for combo in itertools.product(*options):
-            for p, e in zip(loops, combo):
-                base[p] = e
-            h = type(g)(n, tuple(base))
-            c2 = terms.get(h, 0) + sign * c
-            if c2:
-                terms[h] = c2
-            else:
-                terms.pop(h, None)
-    return FormalSum(s.n, s.k, terms, s.kind)
+        raise TypeError("laplace expects a FormalSum or SymmetricSum")
+    for p in range(1, s.k + 1):
+        s = b_op(p, s)
+    return s
 
 
 def _laplace_multisets(s: SymmetricSum) -> SymmetricSum:

@@ -506,13 +506,12 @@ def verify_theta(n: int, cap=None) -> VerificationReport:
         raise ValueError("need n >= 2")
     t0 = time.perf_counter()
     th = theta(n, cap=cap)
-    lt = laplace(th)
+    hi, lo = laplace(th.part(n + 1)), laplace(th.part(n - 1))
     failures = []
-    hi = lt.part(n + 1)
     if not hi.is_zero:
         failures.extend(_sum_diff(hi, SymmetricSum.zero(n, n + 1))[0])
     expected_low = Fraction(-2) * class_sum(n, n - 1, "AC", None, cap=cap)
-    low_failures, total = _sum_diff(lt.part(n - 1), expected_low)
+    low_failures, total = _sum_diff(lo, expected_low)
     failures.extend(low_failures)
 
     notes = [f"top-degree part vanishes: {hi.is_zero}"]
@@ -531,7 +530,7 @@ def verify_theta(n: int, cap=None) -> VerificationReport:
             n, n - 1, "AC", (i,), cap=cap
         )
     derived = Fraction(-((-1) ** n)) * derived
-    notes.append(f"derived componentwise image holds: {lt.part(n - 1) == derived}")
+    notes.append(f"derived componentwise image holds: {lo == derived}")
 
     # Pairing consequence with the symbolic zero-row-sum matrix.
     W, Wh = _matrices(n)

@@ -364,3 +364,20 @@ def test_cap_zero_is_a_cap(capsys):
     assert code == 3 and "exceeds the cap of 0" in err
     code, out, _ = run(capsys, "det", "--n", "6", "--k", "5", "--cap", "0")  # zero by degree
     assert code == 0 and out == "FS 6 5\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "DIR"],
+    ["det", "--n", "2", "--k", "2", "-o", "DIR"],
+    ["verify", "diag", "--n", "2", "--k", "2", "--json", "DIR"],
+    ["potts", "FILE", "--q", "1/0"],
+    ["potts", "FILE", "--v", "1/0"],
+], ids=["classify-dir", "det-output-dir", "verify-json-dir", "potts-q-over-0",
+        "potts-v-over-0"])
+def test_unusable_path_or_rational_exits_2(tmp_path, capsys, argv):
+    # exit 1 would read as a failed identity
+    graph = tmp_path / "u.txt"
+    graph.write_text("U 2 1\n1 2\n")
+    paths = {"DIR": str(tmp_path), "FILE": str(graph)}
+    code, _, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 2 and err.startswith("error:")

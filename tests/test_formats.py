@@ -134,5 +134,5 @@ def test_zero_sum_keeps_its_kind():
     assert graded.kind is UndirectedGraph and not graded.parts
     assert graded.part(3) == FormalSum.zero(2, 3, UndirectedGraph)
     assert (2 * graded).kind is UndirectedGraph
-    assert laplace(graded).part(1).kind is UndirectedGraph
+    assert laplace(graded.part(1)).kind is UndirectedGraph
     assert GradedElement(2).part(1).kind is DirectedGraph

@@ -121,6 +121,31 @@ def test_laplace_equals_composed_b_ops():
             assert laplace(s) == composed
 
 
+def test_laplace_closed_form():
+    # a graph with L loops goes to the (n-1)^L ways of moving every loop's
+    # other end off its vertex, each with coefficient (-1)^L
+    for n, k in product(range(1, 4), range(4)):
+        for g in [*enumerate_graphs(n, k), *enumerate_undirected(n, k)]:
+            kind = type(g)
+            loops = [p for p, (a, b) in enumerate(g.edges) if a == b]
+            image = laplace(FormalSum.single(g))
+            assert image.kind is kind
+            if n == 1 and loops:
+                assert image == FormalSum.zero(n, k, kind)
+                continue
+            assert len(image) == (n - 1) ** len(loops)
+            for h, c in image.terms():
+                assert c == (-1) ** len(loops)
+                assert all(a != b for a, b in h.edges)
+                for p, (e, f) in enumerate(zip(g.edges, h.edges)):
+                    if p not in loops:
+                        assert f == e
+                    elif kind is D:
+                        assert f[0] == e[0]
+                    else:
+                        assert e[0] in f
+
+
 def test_b_ops_commuting_idempotents():
     for n, k in [(2, 2), (3, 2)]:
         for s in basis(n, k):
@@ -169,7 +194,9 @@ def test_laplace_undirected():
 
 
 def test_laplace_graded():
+    # laplace takes homogeneous sums only: a graded element goes part by part
     th = theta(2)
-    lt = laplace(th)
-    assert set(lt.parts) <= {1, 3}
-    assert lt.part(1) == laplace(th.part(1))
+    images = {k: laplace(th.part(k)) for k in th.degrees()}
+    assert {k for k, image in images.items() if image} <= {1, 3}
+    with pytest.raises(TypeError):
+        laplace(th)
