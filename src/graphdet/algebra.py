@@ -6,6 +6,13 @@ rational coefficients.  The product concatenates edge sequences (renumbering
 the right factor's edges after the left's) and is deliberately
 non-commutative: the same edges with different numbers are different graphs.
 
+A numbered graph with n vertices and k edges is just its sequence of k
+edges, so both kinds of sum store each term under a plain edge tuple and
+keep n, k and the graph kind on the sum.  Graph objects are built only at
+the boundary: the public FormalSum constructor validates the graphs it is
+given, and ``terms()``, ``support()``, ``map_graphs`` and ``str()`` build
+the graphs they return.
+
 On top of the vector-space plumbing this module builds the signed class sums
 over strongly semiconnected graphs that behave like determinants and minors
 of a generic matrix, and the mixed-degree element whose Laplace image counts
@@ -54,13 +61,38 @@ def _coeff(value) -> Fraction:
 class _LinearSum:
     """The vector-space structure that FormalSum and SymmetricSum share.
 
-    ``_terms`` maps basis keys (numbered graphs, or sorted edge multisets)
-    to nonzero Fractions.  A subclass supplies ``_like(terms, kind)``, a sum
-    of its own class and degree over clean terms, and every query that
-    depends on its key type.
+    ``_terms`` maps plain edge tuples to nonzero Fractions; n, k and the
+    graph kind live on the sum alone.  A subclass supplies ``_key(edges)``,
+    the key of a graph's edges, ``_count(keys)``, the numbered graphs those
+    keys stand for, ``_numberings(key)``, the edge sequences of one key, and
+    ``expand()``.  Graph objects are built from keys only on the way out.
     """
 
-    __slots__ = ()
+    __slots__ = ("n", "k", "kind", "_terms")
+
+    def __init__(self, n: int, k: int, terms: dict, kind=DirectedGraph):
+        """Wrap clean terms as they are: keys of k edges of the given kind
+        (canonical (min, max) pairs when undirected) mapped to nonzero
+        Fractions.  The dict is kept, not copied."""
+        self.n = n
+        self.k = k
+        self.kind = kind
+        self._terms = terms
+
+    @classmethod
+    def _wrap(cls, n: int, k: int, terms: dict, kind):
+        """The trusted constructor, past any validating ``__init__``."""
+        s = cls.__new__(cls)
+        _LinearSum.__init__(s, n, k, terms, kind)
+        return s
+
+    def _like(self, terms: dict, kind):
+        return self._wrap(self.n, self.k, terms, kind)
+
+    @classmethod
+    def zero(cls, n: int, k: int, kind=DirectedGraph):
+        check_shape(n, k)
+        return cls._wrap(n, k, {}, kind)
 
     @property
     def is_zero(self) -> bool:
@@ -69,9 +101,69 @@ class _LinearSum:
     def __bool__(self):
         return bool(self._terms)
 
-    def __add__(self, other):
+    def __len__(self):
+        return self._count(self._terms)
+
+    def coeff(self, g) -> Fraction:
+        if type(g) is not self.kind or (g.n, g.k) != (self.n, self.k):
+            return Fraction(0)
+        return self._terms.get(self._key(g.edges), Fraction(0))
+
+    def _items(self) -> list[tuple]:
+        """(edge sequence, coefficient) pairs of the expansion, sorted."""
+        return sorted(self.expand()._terms.items())
+
+    def terms(self) -> list[tuple]:
+        """(graph, coefficient) pairs of the expansion, sorted by edge sequence."""
+        return [(self.kind(self.n, edges), c) for edges, c in self._items()]
+
+    def support(self) -> list:
+        return [g for g, _ in self.terms()]
+
+    def diff(self, other) -> tuple[list[tuple], int]:
+        """Graph-by-graph mismatches against another sum of the same n, k and
+        kind; a sum of another shape raises ValueError.
+
+        Returns the (edge sequence, own coefficient, other's coefficient)
+        triple of every numbered graph whose two coefficients differ, sorted
+        by edge sequence, and the number of numbered graphs in the union of
+        the two supports.  Two SymmetricSums are compared per edge multiset,
+        and only the multisets whose coefficients differ are expanded."""
+        mine, theirs = [(s.n, s.k, s.kind.__name__) for s in (self, other)]
+        if mine != theirs:
+            raise ValueError(f"cannot compare sums of shapes {mine} and {theirs}")
         if type(other) is not type(self):
+            return self.expand().diff(other.expand())
+        zero = Fraction(0)
+        keys = set(self._terms) | set(other._terms)
+        out = []
+        for key in keys:
+            a, b = self._terms.get(key, zero), other._terms.get(key, zero)
+            if a != b:
+                out.extend((seq, a, b) for seq in self._numberings(key))
+        out.sort(key=lambda d: d[0])
+        return out, self._count(keys)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, _LinearSum):
             return NotImplemented
+        if type(other) is not type(self):
+            return self.expand() == other.expand()
+        return (self.n, self.k, self.kind) == (other.n, other.k, other.kind) and (
+            self._terms == other._terms
+        )
+
+    def __hash__(self):
+        s = self.expand()
+        return hash((s.n, s.k, s.kind, frozenset(s._terms.items())))
+
+    def __add__(self, other):
+        if not isinstance(other, _LinearSum):
+            return NotImplemented
+        if type(other) is not type(self):
+            return self.expand() + other.expand()
         kind = _common_kind(self, other)
         terms = dict(self._terms)
         for key, c in other._terms.items():
@@ -105,23 +197,39 @@ class _LinearSum:
             return concat_product(self, other)
         return NotImplemented
 
+    def map_graphs(self, fn: Callable, kind=None) -> "FormalSum":
+        """Linear extension of a degree-preserving map on basis graphs;
+        coefficients of colliding images merge.  ``kind`` is the kind of the
+        images, needed when the sum is zero; it defaults to this sum's."""
+        terms: dict = {}
+        n, k = self.n, self.k
+        for g, c in self.terms():
+            h = fn(g)
+            n, k = h.n, h.k
+            terms[h] = terms.get(h, 0) + c
+        return FormalSum(n, k, terms, kind or self.kind)
+
+    def __str__(self):
+        if self.is_zero:
+            return f"0 (n={self.n}, k={self.k})"
+        return " + ".join(f"({c})*{g}" for g, c in self.terms())
+
 
 class FormalSum(_LinearSum):
     """Homogeneous formal sum: finite map graph -> nonzero rational coefficient.
 
-    All keys must share the same vertex count n, degree k and graph kind
-    (``DirectedGraph`` or ``UndirectedGraph``).  The kind is stored, so a
-    zero sum keeps it; it is inferred from the terms when not given, and
-    defaults to directed.  Instances are immutable by convention; all
-    operations return new sums.
+    Each term is stored under its edge sequence.  All terms share the
+    vertex count n, degree k and graph kind (``DirectedGraph`` or
+    ``UndirectedGraph``) stored on the sum, so a zero sum keeps its kind.
+    The constructor takes graph keys and validates every term; the kind is
+    inferred from the terms when not given, and defaults to directed.
+    Instances are immutable by convention; all operations return new sums.
     """
 
-    __slots__ = ("n", "k", "kind", "_terms")
+    __slots__ = ()
 
     def __init__(self, n: int, k: int, terms=None, kind=None):
         check_shape(n, k)
-        self.n = n
-        self.k = k
         clean: dict = {}
         for g, c in (terms or {}).items():
             c = _coeff(c)
@@ -135,27 +243,8 @@ class FormalSum(_LinearSum):
                 raise ValueError(
                     f"term {g} breaks homogeneity: expected n={n}, k={k}"
                 )
-            clean[g] = c
-        self.kind = kind or DirectedGraph
-        self._terms = clean
-
-    @classmethod
-    def _wrap(cls, n: int, k: int, terms: dict, kind) -> "FormalSum":
-        """Wrap clean terms as they are: graphs of the given kind with n
-        vertices and k edges mapped to nonzero Fractions.  The dict is
-        kept, not copied."""
-        s = cls.__new__(cls)
-        s.n, s.k, s.kind, s._terms = n, k, kind, terms
-        return s
-
-    def _like(self, terms: dict, kind) -> "FormalSum":
-        return FormalSum(self.n, self.k, terms, kind)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int, k: int, kind=DirectedGraph) -> "FormalSum":
-        return cls(n, k, {}, kind)
+            clean[g.edges] = c
+        super().__init__(n, k, clean, kind or DirectedGraph)
 
     @classmethod
     def single(cls, g, c=1) -> "FormalSum":
@@ -165,66 +254,17 @@ class FormalSum(_LinearSum):
         """The sum over numbered graphs: this sum itself."""
         return self
 
-    # -- basic queries -----------------------------------------------------
+    @staticmethod
+    def _key(edges: tuple) -> tuple:
+        return edges
 
-    def __len__(self):
-        return len(self._terms)
+    @staticmethod
+    def _count(keys) -> int:
+        return len(keys)
 
-    def coeff(self, g) -> Fraction:
-        return self._terms.get(g, Fraction(0))
-
-    def terms(self) -> list[tuple]:
-        """(graph, coefficient) pairs sorted lexicographically by edge sequence."""
-        return sorted(self._terms.items(), key=lambda gc: gc[0].edges)
-
-    def support(self) -> list:
-        return [g for g, _ in self.terms()]
-
-    def diff(self, other) -> tuple[list[tuple], int]:
-        """Graph-by-graph mismatches against another sum of the same degree.
-
-        Returns the (edge sequence, own coefficient, other's coefficient)
-        triple of every numbered graph whose two coefficients differ, sorted
-        by edge sequence, and the number of numbered graphs in the union of
-        the two supports."""
-        other = other.expand()
-        graphs = set(self._terms) | set(other._terms)
-        out = []
-        for g in graphs:
-            a, b = self.coeff(g), other.coeff(g)
-            if a != b:
-                out.append((g.edges, a, b))
-        out.sort(key=lambda d: d[0])
-        return out, len(graphs)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FormalSum):
-            return NotImplemented
-        return (self.n, self.k, self.kind) == (other.n, other.k, other.kind) and (
-            self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.kind, frozenset(self._terms.items())))
-
-    def map_graphs(self, fn: Callable, kind=None) -> "FormalSum":
-        """Linear extension of a degree-preserving map on basis graphs;
-        coefficients of colliding images merge.  ``kind`` is the kind of the
-        images, needed when the sum is zero; it defaults to this sum's."""
-        terms: dict = {}
-        n, k = self.n, self.k
-        for g, c in self._terms.items():
-            h = fn(g)
-            n, k = h.n, h.k
-            terms[h] = terms.get(h, 0) + c
-        return FormalSum(n, k, terms, kind or self.kind)
-
-    def __str__(self):
-        if self.is_zero:
-            return f"0 (n={self.n}, k={self.k})"
-        return " + ".join(f"({c})*{g}" for g, c in self.terms())
+    @staticmethod
+    def _numberings(key: tuple) -> tuple:
+        return (key,)
 
 
 def _common_kind(s1, s2):
@@ -258,129 +298,59 @@ class SymmetricSum(_LinearSum):
     """Homogeneous sum invariant under renumbering of the edges.
 
     ``_terms`` maps each sorted edge tuple (edge multiset) to the nonzero
-    coefficient that every distinct ordering of it carries.  As a vector it
-    equals ``expand()``, the FormalSum over all those numbered graphs, and
-    it answers the same queries: ``len()`` counts numbered graphs,
-    ``coeff(g)`` looks up ``sorted(g.edges)``, ``terms()`` and
-    ``support()`` list the expansion, and ``==`` against a FormalSum
-    compares expansions.  The kind defaults to directed, as every class
-    sum is; ``universal_potts`` builds undirected ones.
+    coefficient that every distinct ordering of it carries; the constructor
+    takes such terms as they are.  As a vector it equals ``expand()``, the
+    FormalSum over all those numbered graphs, and it answers the same
+    queries: ``len()`` counts numbered graphs, ``coeff(g)`` looks up
+    ``sorted(g.edges)``, ``terms()`` and ``support()`` list the expansion,
+    and ``==`` against a FormalSum compares expansions.  The kind defaults
+    to directed, as every class sum is; ``universal_potts`` builds
+    undirected ones.
     """
 
-    __slots__ = ("n", "k", "kind", "_terms")
-
-    def __init__(self, n: int, k: int, terms: dict, kind=DirectedGraph):
-        """Wrap clean terms as they are: sorted tuples of k edges of the
-        given kind (canonical (min, max) pairs when undirected) mapped to
-        nonzero Fractions.  The dict is kept, not copied."""
-        self.n = n
-        self.k = k
-        self.kind = kind
-        self._terms = terms
-
-    def _like(self, terms: dict, kind) -> "SymmetricSum":
-        return SymmetricSum(self.n, self.k, terms, kind)
-
-    @classmethod
-    def zero(cls, n: int, k: int, kind=DirectedGraph) -> "SymmetricSum":
-        return cls(n, k, {}, kind)
+    __slots__ = ()
 
     def expand(self, cap: int | None = None) -> FormalSum:
         """The FormalSum over every numbering of every multiset, built anew
-        on each call.  The cap counts the numbered graphs it builds,
+        on each call.  The cap counts the numbered graphs it lists,
         ``len(self)``; the queries that expand implicitly use the default
         cap."""
         check_cap(len(self), cap)
-        n, kind = self.n, self.kind
         terms = {
-            kind(n, seq): c
+            seq: c
             for multiset, c in self._terms.items()
             for seq in distinct_permutations(multiset)
         }
-        return FormalSum(n, self.k, terms, kind)
+        return FormalSum._wrap(self.n, self.k, terms, self.kind)
 
-    def diff(self, other) -> tuple[list[tuple], int]:
-        """Graph-by-graph mismatches against another sum; see FormalSum.diff.
+    @staticmethod
+    def _key(edges: tuple) -> tuple:
+        return tuple(sorted(edges))
 
-        Against a SymmetricSum the comparison runs per edge multiset, and
-        only the multisets whose coefficients differ are expanded."""
-        if not isinstance(other, SymmetricSum):
-            return self.expand().diff(other)
-        zero = Fraction(0)
-        union = set(self._terms) | set(other._terms)
-        out = []
-        for multiset in union:
-            a, b = self._terms.get(multiset, zero), other._terms.get(multiset, zero)
-            if a != b:
-                out.extend((seq, a, b) for seq in distinct_permutations(multiset))
-        out.sort(key=lambda d: d[0])
-        return out, sum(orderings(m) for m in union)
+    @staticmethod
+    def _count(keys) -> int:
+        return sum(orderings(m) for m in keys)
 
-    # -- basic queries -----------------------------------------------------
-
-    def __len__(self):
-        return sum(orderings(m) for m in self._terms)
-
-    def coeff(self, g) -> Fraction:
-        if type(g) is not self.kind or (g.n, g.k) != (self.n, self.k):
-            return Fraction(0)
-        return self._terms.get(tuple(sorted(g.edges)), Fraction(0))
-
-    def terms(self) -> list[tuple]:
-        return self.expand().terms()
-
-    def support(self) -> list:
-        return self.expand().support()
-
-    def __eq__(self, other):
-        if isinstance(other, SymmetricSum):
-            return (self.n, self.k, self.kind) == (other.n, other.k, other.kind) and (
-                self._terms == other._terms
-            )
-        if isinstance(other, FormalSum):
-            return self.expand() == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.expand())
-
-    # -- mixing with a FormalSum expands -------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, FormalSum):
-            return self.expand() + other
-        return super().__add__(other)
-
-    def __radd__(self, other):
-        if isinstance(other, FormalSum):
-            return other + self.expand()
-        return NotImplemented
-
-    def map_graphs(self, fn: Callable, kind=None) -> FormalSum:
-        return self.expand().map_graphs(fn, kind)
-
-    def __str__(self):
-        return str(self.expand())
+    @staticmethod
+    def _numberings(key: tuple) -> Iterator[tuple]:
+        return distinct_permutations(key)
 
 
 def concat_product(s1, s2) -> FormalSum:
-    """Bilinear edge-sequence concatenation; degree adds, order matters."""
+    """Bilinear edge-sequence concatenation; degree adds, order matters.
+    Distinct pairs of edge sequences concatenate to distinct sequences, so
+    no two products merge."""
     s1, s2 = s1.expand(), s2.expand()
     if s1.n != s2.n:
         raise ValueError(f"vertex-count mismatch: {s1.n} vs {s2.n}")
     if s1.kind is not s2.kind:
         raise ValueError("cannot multiply directed by undirected sums")
-    kind = s1.kind
-    terms: dict = {}
-    for g1, c1 in s1._terms.items():
-        for g2, c2 in s2._terms.items():
-            g = kind(s1.n, g1.edges + g2.edges)
-            c = terms.get(g, 0) + c1 * c2
-            if c:
-                terms[g] = c
-            else:
-                terms.pop(g, None)
-    return FormalSum(s1.n, s1.k + s2.k, terms, kind)
+    terms = {
+        e1 + e2: c1 * c2
+        for e1, c1 in s1._terms.items()
+        for e2, c2 in s2._terms.items()
+    }
+    return FormalSum._wrap(s1.n, s1.k + s2.k, terms, s1.kind)
 
 
 class GradedElement:
@@ -643,8 +613,8 @@ def forget_sum(s: FormalSum) -> FormalSum:
 def format_formal_sum(s) -> str:
     kind = "FSU" if s.kind is UndirectedGraph else "FS"
     lines = [f"{kind} {s.n} {s.k}"]
-    for g, c in s.terms():
-        edges = " ; ".join(f"{a} {b}" for a, b in g.edges)
+    for seq, c in s._items():
+        edges = " ; ".join(f"{a} {b}" for a, b in seq)
         line = f"{c.numerator}/{c.denominator} |"
         lines.append(f"{line} {edges}" if edges else line)
     return "\n".join(lines) + "\n"

@@ -37,18 +37,18 @@ def b_op(p: int, s: FormalSum) -> FormalSum:
         raise ValueError(f"edge position {p} out of range 1..{s.k}")
     s = s.expand()
     i = p - 1
-    if not any(g.edges[i][0] == g.edges[i][1] for g in s._terms):
+    if not any(e[i][0] == e[i][1] for e in s._terms):
         return s
     terms: dict = {}
-    for g, c in s._terms.items():
-        a, b = g.edges[i]
+    for e, c in s._terms.items():
+        a, b = e[i]
         if a != b:
-            terms[g] = terms[g] + c if g in terms else c
+            terms[e] = terms[e] + c if e in terms else c
             continue
         if s.n == 1:
             continue  # the operator vanishes on single-vertex loops
-        for e in _replacements(type(g), s.n, a):
-            h = type(g)(s.n, g.edges[:i] + (e,) + g.edges[p:])
+        for r in _replacements(s.kind, s.n, a):
+            h = e[:i] + (r,) + e[p:]
             terms[h] = terms[h] - c if h in terms else -c
     return FormalSum._wrap(s.n, s.k, {h: c for h, c in terms.items() if c}, s.kind)
 

@@ -335,8 +335,8 @@ def pairing(m: WeightMatrix, s) -> MultiPoly:
         grouped = {ms: c * orderings(ms) for ms, c in s._terms.items()}
     else:
         grouped = {}
-        for g, c in s._terms.items():
-            ms = tuple(sorted(g.edges))
+        for seq, c in s._terms.items():
+            ms = tuple(sorted(seq))
             grouped[ms] = grouped.get(ms, 0) + c
     total: dict[Monomial, Fraction] = {}
     for ms, c in grouped.items():

@@ -51,10 +51,15 @@ def potts(u: UndirectedGraph, cap: int | None = None) -> MultiPoly:
 
 def potts_value(u: UndirectedGraph, q0, v0, cap: int | None = None) -> Fraction:
     """The partition function evaluated at exact rationals, without building
-    the polynomial."""
-    q0, v0 = Fraction(q0), Fraction(v0)
+    the polynomial.  q0 and v0 must be ints or Fractions; the sum runs in
+    the type given, so integer points stay in int arithmetic."""
+    for x in (q0, v0):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(
+                f"Potts values must be exact rationals, got {type(x).__name__}"
+            )
     counts = _subset_counts(u, cap).items()
-    return sum((c * q0 ** b0 * v0 ** size for (b0, size), c in counts), Fraction(0))
+    return Fraction(sum(c * q0 ** b0 * v0 ** size for (b0, size), c in counts))
 
 
 def shave(u: UndirectedGraph) -> UndirectedGraph:
@@ -127,7 +132,6 @@ def universal_potts(
     the graph's loops.  The value depends only on the edge multiset, so the
     sum is an undirected SymmetricSum with one value per multiset."""
     check_shape(n, k)
-    q0, v0 = Fraction(q0), Fraction(v0)
     check_cap((n * (n + 1) // 2) ** k, cap)
     terms: dict = {}
     for multiset in combinations_with_replacement(undirected_edge_types(n), k):

@@ -480,9 +480,13 @@ def verify_lapl_tutte(n: int, k: int, cap=None) -> VerificationReport:
     rhs = Fraction((-1) ** k) * universal_potts(n, k, -1, -1, shaved=False, cap=cap)
     failures, _ = _sum_diff(lhs, rhs)
     for side in (lhs, rhs):
-        for g in side.support():
-            if any(a == b for a, b in g.edges):
-                failures.append(_failure(g.edges, 0, side.coeff(g)))
+        looped = sorted(
+            (seq, c)
+            for multiset, c in side._terms.items()
+            if any(a == b for a, b in multiset)
+            for seq in distinct_permutations(multiset)
+        )
+        failures.extend(_failure(seq, 0, c) for seq, c in looped)
     total = (n * (n + 1) // 2) ** k
     return _report("lapl_tutte", {"n": n, "k": k}, failures, total, t0)
 

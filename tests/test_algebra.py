@@ -10,11 +10,18 @@ from graphdet import (
     DirectedGraph,
     FormalSum,
     GradedElement,
+    SymmetricSum,
+    UndirectedGraph,
+    WeightMatrix,
     alpha,
+    b_op,
     classify,
     concat_product,
     enumerate_class,
     enumerate_graphs,
+    format_formal_sum,
+    laplace,
+    pairing,
     sigma,
     sum_over_subgraphs,
     theta,
@@ -246,3 +253,39 @@ def test_one_classified_walk_per_degree(monkeypatch):
     theta(3)
     assert len(calls) == len(set(calls)) == 495 + 45 + 9
     assert len(graphs._DIR_CACHE) == cached
+
+
+def test_internal_paths_build_no_graphs(monkeypatch):
+    # terms are stored under edge tuples; graph objects are built only by
+    # the public constructor and by terms()/support()/map_graphs/str()
+    U = UndirectedGraph
+    directed = FormalSum(2, 2, {D(2, ((1, 1), (1, 2))): 1, D(2, ((2, 1), (2, 2))): -2})
+    undirected = FormalSum(3, 2, {U(3, ((2, 2), (1, 3))): 1, U(3, ((1, 2), (2, 3))): 3})
+    sym = universal_det(2, 3)
+    sym_u = SymmetricSum(3, 2, {((1, 1), (1, 2)): Fraction(1)}, U)
+    W = WeightMatrix.symbolic(2)
+    built = []
+    for cls in (D, U):
+        def counted(self, post=cls.__post_init__):
+            built.append(self)
+            post(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    for s in (directed, undirected):
+        b_op(1, s)
+        laplace(s)
+        concat_product(s, s)
+        s.diff(laplace(s))
+        format_formal_sum(s)
+    for s in (sym, sym_u):
+        s.expand()
+        concat_product(s, s)
+        s.diff(laplace(s))
+        s.expand().diff(s)
+        format_formal_sum(s)
+    pairing(W, directed)
+    pairing(W, sym)
+    assert built == []
+    directed.support()
+    assert len(built) == 2

@@ -56,7 +56,7 @@ def _b_op_reference(p, s):
     if not (1 <= p <= s.k):
         raise ValueError(f"edge position {p} out of range 1..{s.k}")
     terms: dict = {}
-    for g, c in s._terms.items():
+    for g, c in s.terms():
         a, b = g.edges[p - 1]
         if a != b:
             terms[g] = terms.get(g, 0) + c
@@ -73,8 +73,8 @@ def _check_b_op(p, s):
     out = b_op(p, s)
     assert out == _b_op_reference(p, s)
     assert out.kind is s.kind
-    assert all(type(c) is Fraction and c for c in out._terms.values())
-    has_loop = any(g.edges[p - 1][0] == g.edges[p - 1][1] for g in s._terms)
+    assert all(type(c) is Fraction and c for _, c in out.terms())
+    has_loop = any(g.edges[p - 1][0] == g.edges[p - 1][1] for g in s.support())
     assert (out is s) == (not has_loop)
 
 

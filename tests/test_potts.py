@@ -135,3 +135,22 @@ def test_lapl_tutte_small():
         assert lhs == rhs
         for g in lhs.support():
             assert all(a != b for a, b in g.edges)
+
+
+@pytest.mark.parametrize("q0, v0", [(0.1, 1), (1, 0.5), (-1.0, -1)])
+def test_potts_values_refuse_floats(q0, v0):
+    # Fraction(0.1) is the binary value of 0.1, not 1/10
+    u = UndirectedGraph(2, ((1, 2),))
+    with pytest.raises(TypeError):
+        potts_value(u, q0, v0)
+    with pytest.raises(TypeError):
+        universal_potts(2, 1, q0, v0)
+
+
+def test_potts_value_is_a_fraction_at_int_and_fraction_points():
+    u = UndirectedGraph(2, ((1, 2), (1, 1)))
+    assert type(potts_value(u, 2, 3)) is Fraction
+    assert potts_value(u, 2, 3) == potts(u).evaluate({Q: 2, V: 3})
+    assert potts_value(u, Fraction(1, 10), 1) == potts(u).evaluate(
+        {Q: Fraction(1, 10), V: 1}
+    )

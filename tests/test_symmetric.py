@@ -212,3 +212,34 @@ def symmetric_sums(draw):
 def test_native_paths_match_expansion_random(s):
     W = WeightMatrix.symbolic(s.n)
     _check_against_expansion(s, (W, laplace_matrix(W)))
+
+
+def _one_term(cls, n, k, kind):
+    """A one-term sum of the given class and shape: k loops at vertex 1."""
+    edges = ((1, 1),) * k
+    if cls is SymmetricSum:
+        return SymmetricSum(n, k, {edges: Fraction(1)}, kind)
+    return FormalSum(n, k, {kind(n, edges): 1}, kind)
+
+
+@pytest.mark.parametrize("left, right", [
+    (FormalSum, FormalSum),
+    (SymmetricSum, SymmetricSum),
+    (FormalSum, SymmetricSum),
+    (SymmetricSum, FormalSum),
+])
+@pytest.mark.parametrize("shape", [
+    (2, 2, UndirectedGraph),  # kind
+    (3, 2, DirectedGraph),  # n
+    (2, 3, DirectedGraph),  # k
+])
+def test_diff_refuses_a_sum_of_another_shape(left, right, shape):
+    # a check built on diff would otherwise report "pass" for two sums that
+    # == tells apart
+    s, t = _one_term(left, 2, 2, DirectedGraph), _one_term(right, *shape)
+    assert s != t
+    with pytest.raises(ValueError, match="shape"):
+        s.diff(t)
+    with pytest.raises(ValueError, match="shape"):
+        t.diff(s)
+    assert s.diff(_one_term(right, 2, 2, DirectedGraph)) == ([], 1)

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from graphdet import verify
 from graphdet.algebra import class_sum, universal_codim1, universal_det
 from graphdet.graphs import CapExceeded, directed_edge_types, undirected_edge_types
+from graphdet.potts import universal_potts
 from graphdet.verify import (
     CHECK_FUNCTIONS,
     SuiteConfig,
@@ -21,6 +23,7 @@ from graphdet.verify import (
     _multiset_laws,
     _position_laws,
     _specval_case,
+    _sum_diff,
     rooted_forest_poly,
     run_check,
     run_suite,
@@ -136,6 +139,25 @@ def test_specval_and_lapl_tutte():
     assert verify_specval(3, 1).ok
     assert verify_lapl_tutte(2, 2).ok
     assert verify_lapl_tutte(3, 2).ok
+
+
+def test_lapl_tutte_lists_every_looped_graph_in_order(monkeypatch):
+    # with the Laplace operator skipped the left side keeps its loops; the
+    # report must list the coefficient mismatches and then, side by side,
+    # every looped graph of the expansion in edge-sequence order
+    monkeypatch.setattr(verify, "laplace", lambda s: s)
+    for n, k in [(2, 2), (3, 2), (2, 3)]:
+        lhs = universal_potts(n, k, -1, 1, shaved=True)
+        rhs = Fraction((-1) ** k) * universal_potts(n, k, -1, -1)
+        want = _sum_diff(lhs, rhs)[0]
+        looped = 0
+        for side in (lhs, rhs):
+            for g in side.support():
+                if any(a == b for a, b in g.edges):
+                    looped += 1
+                    want.append(_failure(g.edges, 0, side.coeff(g)))
+        assert looped
+        assert run_check("lapl_tutte", {"n": n, "k": k}).failures == want
 
 
 def test_operator_laws():
