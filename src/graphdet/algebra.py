@@ -38,7 +38,10 @@ from .graphs import (
     DirectedGraph,
     GraphFormatError,
     UndirectedGraph,
+    _class_test,
     _classify,
+    _read_edge,
+    _read_header,
     _vertex_set,
     beta0,
     check_cap,
@@ -534,9 +537,7 @@ def class_sum(
     cap: int | None = None,
 ) -> SymmetricSum:
     """U- or X-style sum over a semiconnectivity/acyclicity class."""
-    cls = cls.upper()
-    if cls not in ("SSC", "AC"):
-        raise ValueError(f"unknown graph class {cls!r}")
+    cls, _ = _class_test(cls)
     key = None if I is None else (cls, _vertex_set(n, I))
     buckets = _walk(n, k, cap)
     keys = [b for b in buckets if b[0] == cls] if key is None else [key]
@@ -621,24 +622,10 @@ def format_formal_sum(s) -> str:
 
 
 def parse_formal_sum(text: str) -> FormalSum:
-    lines = [
-        (no, raw.strip())
-        for no, raw in enumerate(text.split("\n"), start=1)
-        if raw.strip()
-    ]
-    if not lines:
-        raise GraphFormatError("empty formal-sum file")
-    head_no, head = lines[0]
-    parts = head.split()
-    if len(parts) != 3 or parts[0] not in ("FS", "FSU"):
-        raise GraphFormatError(f"expected header 'FS n k', got {head!r}", head_no)
-    try:
-        n, k = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise GraphFormatError(f"non-integer header fields in {head!r}", head_no)
-    cls = DirectedGraph if parts[0] == "FS" else UndirectedGraph
+    tag, n, k, _, body = _read_header(text, ("FS", "FSU"), "formal-sum")
+    cls = DirectedGraph if tag == "FS" else UndirectedGraph
     terms: dict = {}
-    for no, line in lines[1:]:
+    for no, line in body:
         if "|" not in line:
             raise GraphFormatError(f"expected 'p/q | edges', got {line!r}", no)
         coeff_part, _, edges_part = line.partition("|")
@@ -646,22 +633,10 @@ def parse_formal_sum(text: str) -> FormalSum:
             c = Fraction(coeff_part.strip())
         except (ValueError, ZeroDivisionError):
             raise GraphFormatError(f"bad coefficient {coeff_part.strip()!r}", no)
-        edges = []
-        chunk_src = edges_part.strip()
-        chunks = [c2.strip() for c2 in chunk_src.split(";")] if chunk_src else []
-        for chunk in chunks:
-            toks = chunk.split()
-            if len(toks) != 2:
-                raise GraphFormatError(f"expected 'a b' in term, got {chunk!r}", no)
-            try:
-                edges.append((int(toks[0]), int(toks[1])))
-            except ValueError:
-                raise GraphFormatError(f"non-integer endpoint in {chunk!r}", no)
+        chunks = edges_part.split(";") if edges_part.strip() else []
+        edges = tuple(_read_edge(n, chunk.strip(), no) for chunk in chunks)
         if len(edges) != k:
             raise GraphFormatError(f"term has {len(edges)} edges, expected {k}", no)
-        try:
-            g = cls(n, tuple(edges))
-        except ValueError as exc:
-            raise GraphFormatError(str(exc), no)
+        g = cls(n, edges)
         terms[g] = terms.get(g, 0) + c
     return FormalSum(n, k, terms, cls)

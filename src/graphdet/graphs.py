@@ -84,9 +84,16 @@ def check_cap(size: int, cap: int | None = None) -> None:
         raise CapExceeded(size, limit)
 
 
+def _check_edge(n: int, a: int, b: int) -> None:
+    """Refuse an edge (a, b) with an endpoint outside 1..n."""
+    if not (1 <= a <= n and 1 <= b <= n):
+        raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+
+
 @dataclass(frozen=True)
-class DirectedGraph:
-    """A directed multigraph given as an ordered sequence of (tail, head) edges."""
+class _Graph:
+    """What both kinds of graph share: n vertices, k = len(edges) numbered
+    edges with endpoints in 1..n, stored as ``_canonical`` gives them."""
 
     n: int
     edges: tuple[Edge, ...]
@@ -94,20 +101,31 @@ class DirectedGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("vertex count must be at least 1")
-        if not isinstance(self.edges, tuple):
-            object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        object.__setattr__(self, "edges", self._canonical(self.edges))
         for a, b in self.edges:
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
+            _check_edge(self.n, a, b)
+
+    @staticmethod
+    def _canonical(edges) -> tuple[Edge, ...]:
+        return edges if isinstance(edges, tuple) else tuple(tuple(e) for e in edges)
 
     @property
     def k(self) -> int:
         return len(self.edges)
 
-    def delete_edge(self, p: int) -> "DirectedGraph":
+    def delete_edge(self, p: int):
         """Remove the edge numbered p; later edges slide down by one."""
         self._check_pos(p)
-        return DirectedGraph(self.n, self.edges[: p - 1] + self.edges[p:])
+        return type(self)(self.n, self.edges[: p - 1] + self.edges[p:])
+
+    def _check_pos(self, p: int) -> None:
+        if not (1 <= p <= len(self.edges)):
+            raise ValueError(f"edge position {p} out of range 1..{len(self.edges)}")
+
+
+@dataclass(frozen=True)
+class DirectedGraph(_Graph):
+    """A directed multigraph given as an ordered sequence of (tail, head) edges."""
 
     def contract_edge(self, p: int) -> "DirectedGraph":
         """Contract the (non-loop) edge numbered p.
@@ -138,15 +156,9 @@ class DirectedGraph:
     def replace_edge(self, p: int, a: int, b: int) -> "DirectedGraph":
         """Substitute edge (a,b) at position p, keeping the numbering."""
         self._check_pos(p)
-        if not (1 <= a <= self.n and 1 <= b <= self.n):
-            raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
         return DirectedGraph(
             self.n, self.edges[: p - 1] + ((a, b),) + self.edges[p:]
         )
-
-    def _check_pos(self, p: int) -> None:
-        if not (1 <= p <= len(self.edges)):
-            raise ValueError(f"edge position {p} out of range 1..{len(self.edges)}")
 
     def __str__(self):
         inner = ",".join(f"[{a}{b}]" if self.n < 10 else f"[{a},{b}]" for a, b in self.edges)
@@ -154,30 +166,12 @@ class DirectedGraph:
 
 
 @dataclass(frozen=True)
-class UndirectedGraph:
+class UndirectedGraph(_Graph):
     """An undirected multigraph; each edge is stored canonically as (min, max)."""
 
-    n: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("vertex count must be at least 1")
-        object.__setattr__(
-            self, "edges", tuple((min(a, b), max(a, b)) for a, b in self.edges)
-        )
-        for a, b in self.edges:
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
-
-    @property
-    def k(self) -> int:
-        return len(self.edges)
-
-    def delete_edge(self, p: int) -> "UndirectedGraph":
-        if not (1 <= p <= len(self.edges)):
-            raise ValueError(f"edge position {p} out of range 1..{len(self.edges)}")
-        return UndirectedGraph(self.n, self.edges[: p - 1] + self.edges[p:])
+    @staticmethod
+    def _canonical(edges) -> tuple[Edge, ...]:
+        return tuple((min(a, b), max(a, b)) for a, b in edges)
 
     def __str__(self):
         inner = ",".join(f"{{{a},{b}}}" for a, b in self.edges)
@@ -257,22 +251,12 @@ def _classify_key(n: int, sorted_edges: tuple[Edge, ...]) -> GraphClassification
     return hit
 
 
-def _classify(n: int, sorted_edges: tuple[Edge, ...]) -> GraphClassification:
-    """Classify one sorted edge multiset, uncached: for callers that keep
-    the result themselves."""
-    k = len(sorted_edges)
+def _closure(n: int, edges: Iterable[Edge]) -> list[int]:
+    """The reflexive-transitive closure as bit masks: bit w of entry v is
+    set when w is reachable from v."""
     adj = [0] * (n + 1)
-    outdeg = [0] * (n + 1)
-    incident = [False] * (n + 1)
-    loop_count = 0
-    for a, b in sorted_edges:
+    for a, b in edges:
         adj[a] |= 1 << b
-        outdeg[a] += 1
-        incident[a] = incident[b] = True
-        if a == b:
-            loop_count += 1
-
-    # Reflexive-transitive closure as bit masks.
     reach = [0] * (n + 1)
     for v in range(1, n + 1):
         mask = 1 << v
@@ -286,7 +270,23 @@ def _classify(n: int, sorted_edges: tuple[Edge, ...]) -> GraphClassification:
                 stack.append(w)
                 new &= new - 1
         reach[v] = mask
+    return reach
 
+
+def _classify(n: int, sorted_edges: tuple[Edge, ...]) -> GraphClassification:
+    """Classify one sorted edge multiset, uncached: for callers that keep
+    the result themselves."""
+    k = len(sorted_edges)
+    outdeg = [0] * (n + 1)
+    incident = [False] * (n + 1)
+    loop_count = 0
+    for a, b in sorted_edges:
+        outdeg[a] += 1
+        incident[a] = incident[b] = True
+        if a == b:
+            loop_count += 1
+
+    reach = _closure(n, sorted_edges)
     comps = _components(n, sorted_edges)
     b0 = len(comps)
     full = ((1 << (n + 1)) - 2)  # bits 1..n
@@ -323,24 +323,7 @@ def reachable(g: DirectedGraph, a: int, b: int) -> bool:
     """Directed reachability a -> b; reflexively true for a == b."""
     if not (1 <= a <= g.n and 1 <= b <= g.n):
         raise ValueError("vertex out of range")
-    if a == b:
-        return True
-    seen = 1 << a
-    stack = [a]
-    adj = [0] * (g.n + 1)
-    for x, y in g.edges:
-        adj[x] |= 1 << y
-    while stack:
-        u = stack.pop()
-        if adj[u] >> b & 1:
-            return True
-        new = adj[u] & ~seen
-        seen |= new
-        while new:
-            w = (new & -new).bit_length() - 1
-            stack.append(w)
-            new &= new - 1
-    return False
+    return bool(_closure(g.n, g.edges)[a] >> b & 1)
 
 
 def edge_on_directed_cycle(g: DirectedGraph, p: int) -> bool:
@@ -414,6 +397,19 @@ def _vertex_set(n: int, I: Iterable[int]) -> frozenset[int]:
     return vs
 
 
+def _class_test(cls: str):
+    """The class named "SSC" or "AC", in either case: its upper-case name
+    and its membership test, which maps a classification to the vertex set
+    that files a member (its isolated vertices if strongly semiconnected,
+    its sinks if acyclic) and a non-member to None."""
+    cls = cls.upper()
+    if cls == "SSC":
+        return cls, lambda c: c.isolated if c.strongly_semiconnected else None
+    if cls == "AC":
+        return cls, lambda c: c.sinks if c.acyclic else None
+    raise ValueError(f"unknown graph class {cls!r}")
+
+
 def enumerate_class(
     n: int,
     k: int,
@@ -426,18 +422,12 @@ def enumerate_class(
     For cls="SSC", I is the exact isolated-vertex set; for cls="AC" the exact
     sink set.  I=None takes the union over all vertex sets.
     """
-    cls = cls.upper()
-    if cls not in ("SSC", "AC"):
-        raise ValueError(f"unknown graph class {cls!r}")
+    _, member = _class_test(cls)
     target = None if I is None else _vertex_set(n, I)
     for g in enumerate_graphs(n, k, cap=cap):
-        c = classify(g)
-        if cls == "SSC":
-            if c.strongly_semiconnected and (target is None or c.isolated == target):
-                yield g
-        else:
-            if c.acyclic and (target is None or c.sinks == target):
-                yield g
+        vs = member(classify(g))
+        if vs is not None and (target is None or vs == target):
+            yield g
 
 
 @lru_cache(maxsize=None)
@@ -482,8 +472,53 @@ def orientations(u: UndirectedGraph, cap: int | None = None) -> Iterator[Directe
 
 
 # ---------------------------------------------------------------------------
-# Text format: header "D n k" or "U n k", then one "a b" line per edge,
-# in numbering order.  ASCII, LF endings.
+# Text formats.  A graph file is the header "D n k" or "U n k", then one
+# "a b" line per edge, in numbering order.  ASCII, LF endings; blank lines
+# are skipped but counted, so every error names the line it is on.
+
+
+def _read_header(text: str, tags: tuple[str, ...], what: str):
+    """Read the first nonblank line of text as the header "TAG n k".
+
+    Returns the tag, n, k, the header's line number and the (line number,
+    stripped line) pairs of the nonblank lines after it."""
+    lines = [
+        (no, raw.strip())
+        for no, raw in enumerate(text.split("\n"), start=1)
+        if raw.strip()
+    ]
+    if not lines:
+        raise GraphFormatError(f"empty {what} file")
+    (head_no, head), body = lines[0], lines[1:]
+    parts = head.split()
+    if len(parts) != 3 or parts[0] not in tags:
+        want = " or ".join(f"'{tag} n k'" for tag in tags)
+        raise GraphFormatError(f"expected header {want}, got {head!r}", head_no)
+    try:
+        n, k = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise GraphFormatError(f"non-integer header fields in {head!r}", head_no)
+    try:
+        check_shape(n, k)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc), head_no)
+    return parts[0], n, k, head_no, body
+
+
+def _read_edge(n: int, text: str, no: int) -> Edge:
+    """The edge "a b", stripped, of a graph on 1..n, read from line no."""
+    toks = text.split()
+    if len(toks) != 2:
+        raise GraphFormatError(f"expected 'a b', got {text!r}", no)
+    try:
+        a, b = int(toks[0]), int(toks[1])
+    except ValueError:
+        raise GraphFormatError(f"non-integer endpoint in {text!r}", no)
+    try:
+        _check_edge(n, a, b)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc), no)
+    return a, b
 
 
 def format_graph(g: Graph) -> str:
@@ -494,47 +529,10 @@ def format_graph(g: Graph) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    lines = text.split("\n")
-    header_no = None
-    header = None
-    body: list[tuple[int, str]] = []
-    for no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if header is None:
-            header, header_no = stripped, no
-        else:
-            body.append((no, stripped))
-    if header is None:
-        raise GraphFormatError("empty graph file")
-    parts = header.split()
-    if len(parts) != 3 or parts[0] not in ("D", "U"):
-        raise GraphFormatError(
-            f"expected header 'D n k' or 'U n k', got {header!r}", header_no
-        )
-    try:
-        n, k = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise GraphFormatError(f"non-integer header fields in {header!r}", header_no)
+    tag, n, k, head_no, body = _read_header(text, ("D", "U"), "graph")
     if len(body) != k:
         raise GraphFormatError(
-            f"header announces {k} edges but file has {len(body)}", header_no
+            f"header announces {k} edges but file has {len(body)}", head_no
         )
-    edges = []
-    for no, line in body:
-        toks = line.split()
-        if len(toks) != 2:
-            raise GraphFormatError(f"expected 'a b', got {line!r}", no)
-        try:
-            a, b = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise GraphFormatError(f"non-integer endpoint in {line!r}", no)
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise GraphFormatError(f"endpoint out of range 1..{n} in {line!r}", no)
-        edges.append((a, b))
-    cls = DirectedGraph if parts[0] == "D" else UndirectedGraph
-    try:
-        return cls(n, tuple(edges))
-    except ValueError as exc:
-        raise GraphFormatError(str(exc), header_no)
+    edges = tuple(_read_edge(n, line, no) for no, line in body)
+    return (DirectedGraph if tag == "D" else UndirectedGraph)(n, edges)

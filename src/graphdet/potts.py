@@ -21,6 +21,7 @@ from .algebra import SymmetricSum
 from .graphs import (
     UndirectedGraph,
     _beta0,
+    _class_test,
     check_cap,
     check_shape,
     classify,
@@ -108,15 +109,8 @@ def _contract(n: int, edges: tuple, a: int, b: int) -> tuple[int, tuple]:
 def count_orientations(u: UndirectedGraph, cls: str, cap: int | None = None) -> int:
     """Number of orientations of u that are strongly semiconnected ("SSC")
     or acyclic ("AC"), by brute enumeration."""
-    cls = cls.upper()
-    if cls not in ("SSC", "AC"):
-        raise ValueError(f"unknown graph class {cls!r}")
-    count = 0
-    for g in orientations(u, cap=cap):
-        c = classify(g)
-        if (cls == "SSC" and c.strongly_semiconnected) or (cls == "AC" and c.acyclic):
-            count += 1
-    return count
+    _, member = _class_test(cls)
+    return sum(member(classify(g)) is not None for g in orientations(u, cap=cap))
 
 
 def universal_potts(
