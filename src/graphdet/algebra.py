@@ -83,7 +83,7 @@ class _LinearSum:
         self._terms = terms
 
     @classmethod
-    def _wrap(cls, n: int, k: int, terms: dict, kind):
+    def _wrap(cls, n: int, k: int, terms: dict, kind=DirectedGraph):
         """The trusted constructor, past any validating ``__init__``."""
         s = cls.__new__(cls)
         _LinearSum.__init__(s, n, k, terms, kind)
@@ -301,17 +301,36 @@ class SymmetricSum(_LinearSum):
     """Homogeneous sum invariant under renumbering of the edges.
 
     ``_terms`` maps each sorted edge tuple (edge multiset) to the nonzero
-    coefficient that every distinct ordering of it carries; the constructor
-    takes such terms as they are.  As a vector it equals ``expand()``, the
-    FormalSum over all those numbered graphs, and it answers the same
-    queries: ``len()`` counts numbered graphs, ``coeff(g)`` looks up
-    ``sorted(g.edges)``, ``terms()`` and ``support()`` list the expansion,
-    and ``==`` against a FormalSum compares expansions.  The kind defaults
+    coefficient that every distinct ordering of it carries.  The
+    constructor refuses a key that is not a sorted tuple of k edges of the
+    kind on vertices 1..n (undirected edges as (min, max) pairs), makes
+    each coefficient a Fraction and drops the zeros.  As a vector the sum
+    equals ``expand()``, the FormalSum over all those numbered graphs, and
+    it answers the same queries: ``len()`` counts numbered graphs,
+    ``coeff(g)`` looks up ``sorted(g.edges)``, ``terms()`` and ``support()``
+    list the expansion, and ``==`` against a FormalSum compares expansions.
+    The internal builders, whose keys are clean by construction, go past
+    the checks through ``_wrap``.  The kind defaults
     to directed, as every class sum is; ``universal_potts`` builds
     undirected ones.
     """
 
     __slots__ = ()
+
+    def __init__(self, n: int, k: int, terms=None, kind=DirectedGraph):
+        check_shape(n, k)
+        clean: dict = {}
+        for key, c in (terms or {}).items():
+            c = _coeff(c)
+            if c == 0:
+                continue
+            if len(key) != k or key != self._key(kind(n, key).edges):
+                raise ValueError(
+                    f"term key {key!r} is not a sorted multiset of {k} edges"
+                    f" of a {kind.__name__} on n={n}"
+                )
+            clean[key] = c
+        super().__init__(n, k, clean, kind)
 
     def expand(self, cap: int | None = None) -> FormalSum:
         """The FormalSum over every numbering of every multiset, built anew
@@ -542,7 +561,8 @@ def class_sum(
     buckets = _walk(n, k, cap)
     keys = [b for b in buckets if b[0] == cls] if key is None else [key]
     signs = {m: c for b in keys for m, c in buckets.get(b, {}).items()}
-    return SymmetricSum(n, k, signs if signed else dict.fromkeys(signs, Fraction(1)))
+    terms = signs if signed else dict.fromkeys(signs, Fraction(1))
+    return SymmetricSum._wrap(n, k, terms)
 
 
 def universal_det(
@@ -558,7 +578,7 @@ def universal_det(
     if k < n - len(iso):
         return SymmetricSum.zero(n, k)
     signs = _walk(n, k, cap).get(("SSC", iso), {})
-    return Fraction((-1) ** k, factorial(k)) * SymmetricSum(n, k, signs)
+    return Fraction((-1) ** k, factorial(k)) * SymmetricSum._wrap(n, k, signs)
 
 
 def universal_codim1(
@@ -577,7 +597,7 @@ def universal_codim1(
         if (i, j) in big:
             at = big.index((i, j))
             terms[big[:at] + big[at + 1:]] = c
-    return Fraction((-1) ** k, factorial(k)) * SymmetricSum(n, k, terms)
+    return Fraction((-1) ** k, factorial(k)) * SymmetricSum._wrap(n, k, terms)
 
 
 def theta(n: int, cap: int | None = None) -> GradedElement:

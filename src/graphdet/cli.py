@@ -80,17 +80,14 @@ def _read_text(path: str) -> str:
 
 @contextmanager
 def _output(path: str | None):
-    """The file at path, or stdout for None and "-"."""
+    """The file at path, or stdout for None and "-".  Commands open it
+    before their work, as a shell redirect does, so that an unusable path
+    fails at once."""
     if path is None or path == "-":
         yield sys.stdout
     else:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             yield fh
-
-
-def _write_text(path: str | None, text: str) -> None:
-    with _output(path) as fh:
-        fh.write(text)
 
 
 def _fmt_set(vs) -> str:
@@ -142,22 +139,25 @@ def cmd_det(args) -> int:
     # Every numbered graph is printed, so the cap counts edge sequences,
     # unless the determinant element is zero by degree.
     sequences = (args.n * args.n) ** args.k
-    if args.minor:
-        i, j = _parse_minor(args.minor)
-        check_cap(sequences, args.cap)
-        s = universal_codim1(args.n, args.k, i, j, cap=args.cap)
-    else:
-        I = _parse_vertex_set(args.sinks or args.isolated)
-        if args.k >= args.n - len(I):
+    with _output(args.output) as fh:
+        if args.minor:
+            i, j = _parse_minor(args.minor)
             check_cap(sequences, args.cap)
-        s = universal_det(args.n, args.k, I, cap=args.cap)
-    _write_text(args.output, format_formal_sum(s.expand(args.cap)))
+            s = universal_codim1(args.n, args.k, i, j, cap=args.cap)
+        else:
+            I = _parse_vertex_set(args.sinks or args.isolated)
+            if args.k >= args.n - len(I):
+                check_cap(sequences, args.cap)
+            s = universal_det(args.n, args.k, I, cap=args.cap)
+        fh.write(format_formal_sum(s.expand(args.cap)))
     return 0
 
 
 def cmd_laplace(args) -> int:
+    # The input is read first, so that it may also be the output.
     s = parse_formal_sum(_read_text(args.input))
-    _write_text(args.output, format_formal_sum(laplace(s)))
+    with _output(args.output) as fh:
+        fh.write(format_formal_sum(laplace(s)))
     return 0
 
 
@@ -197,22 +197,23 @@ def cmd_tutte(args) -> int:
 
 def cmd_theta(args) -> int:
     # Every numbered graph is printed, so the cap counts edge sequences here.
-    check_cap((args.n * args.n) ** (args.n + 1), args.cap)
-    th = theta(args.n, cap=args.cap)
-    blocks = [format_formal_sum(th.part(k).expand(args.cap)) for k in th.degrees()]
-    _write_text(args.output, "\n".join(blocks))
+    with _output(args.output) as fh:
+        check_cap((args.n * args.n) ** (args.n + 1), args.cap)
+        th = theta(args.n, cap=args.cap)
+        blocks = [format_formal_sum(th.part(k).expand(args.cap)) for k in th.degrees()]
+        fh.write("\n".join(blocks))
     return 0
 
 
-def _report_out(reports: list[VerificationReport], args) -> None:
+def _report_out(reports: list[VerificationReport], args, fh) -> None:
+    """The JSON array of the reports with --json, else their human form."""
     if args.json:
         # Streamed, so the report is never held as one string.
-        with _output(args.json) as fh:
-            json.dump([r.to_json_dict() for r in reports], fh, indent=2)
-            fh.write("\n")
+        json.dump([r.to_json_dict() for r in reports], fh, indent=2)
+        fh.write("\n")
     else:
         for r in reports:
-            print(r.human())
+            print(r.human(), file=fh)
 
 
 # The verify flag that sets each parameter a check can take.
@@ -249,11 +250,12 @@ def cmd_verify(args) -> int:
     if missing:
         need = " and ".join(dict.fromkeys(missing))
         raise SystemExit2(f"check {args.check!r} needs {need}")
-    try:
-        report = run_check(name, params, cap=args.cap)
-    except (ValueError, KeyError) as exc:
-        raise SystemExit2(str(exc))
-    _report_out([report], args)
+    with _output(args.json) as fh:
+        try:
+            report = run_check(name, params, cap=args.cap)
+        except (ValueError, KeyError) as exc:
+            raise SystemExit2(str(exc))
+        _report_out([report], args, fh)
     return 0 if report.ok else 1
 
 
@@ -264,8 +266,9 @@ def cmd_suite(args) -> int:
         jobs=args.jobs,
         cap=args.cap,
     )
-    reports = run_suite(config)
-    _report_out(reports, args)
+    with _output(args.json) as fh:
+        reports = run_suite(config)
+        _report_out(reports, args, fh)
     bad = [r for r in reports if r.status != "skipped" and not r.ok]
     npass = sum(1 for r in reports if r.status != "skipped" and r.ok)
     nskip = sum(1 for r in reports if r.status == "skipped")

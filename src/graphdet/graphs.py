@@ -506,7 +506,8 @@ def _read_header(text: str, tags: tuple[str, ...], what: str):
 
 
 def _read_edge(n: int, text: str, no: int) -> Edge:
-    """The edge "a b", stripped, of a graph on 1..n, read from line no."""
+    """The edge of a graph on 1..n that the stripped text "a b" on line
+    no gives."""
     toks = text.split()
     if len(toks) != 2:
         raise GraphFormatError(f"expected 'a b', got {text!r}", no)

@@ -97,4 +97,4 @@ def _laplace_multisets(s: SymmetricSum) -> SymmetricSum:
                 terms[image] = c2
             else:
                 terms.pop(image, None)
-    return SymmetricSum(s.n, s.k, terms, kind)
+    return SymmetricSum._wrap(s.n, s.k, terms, kind)

@@ -133,4 +133,4 @@ def universal_potts(
         val = potts_value(shave(u) if shaved else u, q0, v0, cap=cap)
         if val:
             terms[multiset] = val
-    return SymmetricSum(n, k, terms, UndirectedGraph)
+    return SymmetricSum._wrap(n, k, terms, UndirectedGraph)

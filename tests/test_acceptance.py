@@ -36,9 +36,11 @@ from graphdet import (
     classify,
     determinant,
     enumerate_undirected,
+    laplace_matrix,
     pairing,
     tutte,
     universal_det,
+    w,
 )
 from graphdet.algebra import class_sum
 from graphdet.poly import MultiPoly, Q, V, X, Y
@@ -80,6 +82,80 @@ def test_determinant_recovery():
         ok = ok and pairing(W, universal_det(n, n, ())) == determinant(W)
     _conclude("determinant-recovery", ok, t0, budget=10)
 
+
+
+def _kahn_accepts(n, edges):
+    """Kahn's topological sort (1962): take out vertices with no incoming
+    edge left; the edge set is acyclic when every vertex comes out."""
+    indegree = [0] * (n + 1)
+    for _, b in edges:
+        indegree[b] += 1
+    ready = [v for v in range(1, n + 1) if indegree[v] == 0]
+    out = 0
+    while ready:
+        v = ready.pop()
+        out += 1
+        for a, b in edges:
+            if a == v:
+                indegree[b] -= 1
+                if indegree[b] == 0:
+                    ready.append(b)
+    return out == n
+
+
+def _acyclic_edge_sets(n):
+    """Every loop-free edge set on 1..n that Kahn's sort accepts."""
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    for size in range(len(pairs) + 1):
+        for edges in combinations(pairs, size):
+            if _kahn_accepts(n, edges):
+                yield edges
+
+
+def _multiplicities(k, size):
+    """Every vector of `size` positive integers that sum to k."""
+    if size == 0 or k == 0:
+        return [()] if size == k else []
+    return [
+        tuple(hi - lo for lo, hi in zip((0,) + bars, bars + (k,)))
+        for bars in combinations(range(1, k), size - 1)
+    ]
+
+
+def _acyclic_monomial_sum(n, k, sinks, edge_sets):
+    """(-1)^n times the sum, over the acyclic edge sets S with sink set
+    `sinks` and every multiplicity vector m >= 1 on S with |m| = k, of
+    w^m / prod(m_e!)."""
+    total = MultiPoly.zero()
+    for edges in edge_sets:
+        if {v for v in range(1, n + 1) if all(a != v for a, _ in edges)} != sinks:
+            continue
+        for mult in _multiplicities(k, len(edges)):
+            term = MultiPoly.const(Fraction((-1) ** n))
+            for (a, b), m in zip(edges, mult):
+                term = term * MultiPoly.variable(w(a, b), m) * Fraction(1, factorial(m))
+            total = total + term
+    return total
+
+
+def test_headline_theorem():
+    # det_{n,k} applied to the Laplace matrix is a sum of monomials indexed
+    # by the acyclic graphs with n vertices and k edges, per sink set I.
+    t0 = time.perf_counter()
+    counts = []
+    ok = True
+    for n in (1, 2, 3, 4):
+        edge_sets = list(_acyclic_edge_sets(n))
+        counts.append(len(edge_sets))
+        Wh = laplace_matrix(WeightMatrix.symbolic(n))
+        for k in range(6):
+            for size in range(n + 1):
+                for I in combinations(range(1, n + 1), size):
+                    lhs = pairing(Wh, universal_det(n, k, I))
+                    ok = ok and lhs == _acyclic_monomial_sum(n, k, set(I), edge_sets)
+    # labelled acyclic digraphs (Robinson 1973)
+    ok = ok and counts == [1, 3, 25, 543]
+    _conclude("headline-theorem", ok, t0, budget=60)
 
 def test_direct_theorems():
     t0 = time.perf_counter()

@@ -381,3 +381,33 @@ def test_unusable_path_or_rational_exits_2(tmp_path, capsys, argv):
     paths = {"DIR": str(tmp_path), "FILE": str(graph)}
     code, _, err = run(capsys, *[paths.get(a, a) for a in argv])
     assert code == 2 and err.startswith("error:")
+
+
+def _not_reached(*args, **kwargs):
+    raise AssertionError("the work ran before the output was opened")
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["det", "--n", "2", "--k", "2", "-o", "DIR"], "universal_det"),
+    (["det", "--n", "2", "--k", "1", "--minor", "1/2", "-o", "DIR"], "universal_codim1"),
+    (["theta", "--n", "2", "-o", "DIR"], "theta"),
+    (["laplace", "SUM", "-o", "DIR"], "laplace"),
+    (["verify", "diag", "--n", "2", "--k", "2", "--json", "DIR"], "run_check"),
+    (["suite", "--json", "DIR"], "run_suite"),
+], ids=["det", "det-minor", "theta", "laplace", "verify", "suite"])
+def test_unusable_output_exits_2_before_the_work(tmp_path, monkeypatch, capsys, argv, work):
+    # as with a shell redirect, the destination is opened first
+    monkeypatch.setattr(f"graphdet.cli.{work}", _not_reached)
+    src = tmp_path / "s.fs"
+    src.write_text("FS 2 1\n1/1 | 1 1\n")
+    paths = {"DIR": str(tmp_path), "SUM": str(src)}
+    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_laplace_may_write_over_its_input(tmp_path, capsys):
+    src = tmp_path / "s.fs"
+    src.write_text("FS 2 2\n1/1 | 1 1 ; 2 2\n")
+    code, out, _ = run(capsys, "laplace", str(src), "-o", str(src))
+    assert code == 0 and out == ""
+    assert src.read_text() == "FS 2 2\n1/1 | 1 2 ; 2 1\n"

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdet import (
     DirectedGraph,
@@ -136,3 +137,142 @@ def test_zero_sum_keeps_its_kind():
     assert (2 * graded).kind is UndirectedGraph
     assert laplace(graded.part(1)).kind is UndirectedGraph
     assert GradedElement(2).part(1).kind is DirectedGraph
+
+
+# Seeded round trips of both text formats, and every class of malformed line.
+
+seeded = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+def _edges(n, min_size=0, max_size=5):
+    # few vertices, so that loops and repeated edges are common
+    edge = st.tuples(st.integers(1, n), st.integers(1, n))
+    return st.lists(edge, min_size=min_size, max_size=max_size).map(tuple)
+
+
+@st.composite
+def graphs(draw, min_edges=0):
+    kind = draw(st.sampled_from([D, U]))
+    n = draw(st.integers(1, 4))
+    return kind(n, draw(_edges(n, min_size=min_edges)))
+
+
+@st.composite
+def formal_sums(draw):
+    """Directed and undirected sums with nonzero rational coefficients; a
+    third of them cancelled to the zero of their kind."""
+    kind = draw(st.sampled_from([D, U]))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3))
+    graph = _edges(n, k, k).map(lambda edges: kind(n, edges))
+    coeff = st.fractions(max_denominator=12).filter(bool)
+    s = FormalSum(n, k, draw(st.dictionaries(graph, coeff, max_size=4)), kind)
+    return s - s if draw(st.integers(0, 2)) == 0 else s
+
+
+@seeded
+@given(graphs())
+def test_graph_text_round_trip(g):
+    text = format_graph(g)
+    back = parse_graph(text)
+    assert back == g and type(back) is type(g)
+    assert format_graph(back) == text
+
+
+@seeded
+@given(formal_sums())
+def test_formal_sum_text_round_trip(s):
+    text = format_formal_sum(s)
+    back = parse_formal_sum(text)
+    assert back == s and back.kind is s.kind
+    assert format_formal_sum(back) == text
+    # the terms of -s cancel those of s to the zero of the header's kind
+    minus = format_formal_sum(-s).split("\n", 1)[1]
+    zero = parse_formal_sum(text + minus)
+    assert zero.is_zero and zero.kind is s.kind
+
+
+@st.composite
+def _spread(draw, lines):
+    """The lines joined, each after a run of blank lines; returns the text
+    and the 1-based number of each line."""
+    out, numbers = [], []
+    for line in lines:
+        out.extend(draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2)))
+        out.append(line)
+        numbers.append(len(out))
+    return "\n".join(out) + "\n", numbers
+
+
+# Each malformed-header class: the header that replaces "TAG n k".
+HEADER_FAULTS = {
+    "tag": lambda tag, n, k: f"X {n} {k}",
+    "field-count": lambda tag, n, k: f"{tag} {n}",
+    "non-integer-field": lambda tag, n, k: f"{tag} {n} k",
+    "vertex-count": lambda tag, n, k: f"{tag} 0 {k}",
+    "negative-edge-count": lambda tag, n, k: f"{tag} {n} -1",
+}
+# Each malformed-edge class, as the text of one "a b" edge.
+EDGE_FAULTS = {
+    "field-count": lambda n: "1 1 1",
+    "non-integer-endpoint": lambda n: "1 x",
+    "endpoint-below-range": lambda n: "0 1",
+    "endpoint-above-range": lambda n: f"1 {n + 1}",
+}
+
+
+@seeded
+@given(graphs(min_edges=1), st.sampled_from(
+    [("header", f) for f in HEADER_FAULTS] + [("edge", f) for f in EDGE_FAULTS]
+    + [("edge-count", None)]
+), st.data())
+def test_every_malformed_graph_line_is_named(g, fault, data):
+    lines = format_graph(g).splitlines()
+    where, name = fault
+    if where == "header":
+        at, lines[0] = 0, HEADER_FAULTS[name](lines[0][0], g.n, g.k)
+    elif where == "edge":
+        at = data.draw(st.integers(1, g.k))
+        lines[at] = EDGE_FAULTS[name](g.n)
+    else:
+        at = 0
+        del lines[data.draw(st.integers(1, g.k))]
+    text, numbers = data.draw(_spread(lines))
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert exc.value.line == numbers[at]
+
+
+# Each malformed-term class, as the text of one term line of degree k.
+TERM_FAULTS = {
+    "no-bar": lambda n, k: "1/1 " + " ; ".join(["1 1"] * k),
+    "non-rational-coefficient": lambda n, k: "x | " + " ; ".join(["1 1"] * k),
+    "zero-denominator": lambda n, k: "1/0 | " + " ; ".join(["1 1"] * k),
+    "degree": lambda n, k: "1/1 | " + " ; ".join(["1 1"] * (k + 1)),
+    "empty-edge": lambda n, k: "1/1 | 1 1 ; ",
+}
+TERM_FAULTS.update({
+    f"edge-{name}": lambda n, k, edge=edge: "1/1 | " + " ; ".join(
+        ["1 1"] * (k - 1) + [edge(n)] if k else [edge(n)]
+    )
+    for name, edge in EDGE_FAULTS.items()
+})
+
+
+@seeded
+@given(formal_sums(), st.sampled_from(
+    [("header", f) for f in HEADER_FAULTS] + [("term", f) for f in TERM_FAULTS]
+), st.data())
+def test_every_malformed_sum_line_is_named(s, fault, data):
+    lines = format_formal_sum(s).splitlines()
+    where, name = fault
+    if where == "header":
+        at = 0
+        lines[0] = HEADER_FAULTS[name](lines[0].split()[0], s.n, s.k)
+    else:
+        at = data.draw(st.integers(1, len(lines)))
+        lines.insert(at, TERM_FAULTS[name](s.n, s.k))
+    text, numbers = data.draw(_spread(lines))
+    with pytest.raises(GraphFormatError) as exc:
+        parse_formal_sum(text)
+    assert exc.value.line == numbers[at]

@@ -243,3 +243,27 @@ def test_diff_refuses_a_sum_of_another_shape(left, right, shape):
     with pytest.raises(ValueError, match="shape"):
         t.diff(s)
     assert s.diff(_one_term(right, 2, 2, DirectedGraph)) == ([], 1)
+
+
+@pytest.mark.parametrize("n, k, terms, kind", [
+    (2, 2, {((2, 1), (1, 1)): 1}, DirectedGraph),
+    (2, 1, {((2, 1),): 1}, UndirectedGraph),
+    (2, 1, {((1, 5),): 1}, DirectedGraph),
+    (2, 1, {((0, 1),): 1}, UndirectedGraph),
+    (2, 3, {((1, 1),): 2}, DirectedGraph),
+    (2, 1, {((1, 1), (1, 2)): 1}, DirectedGraph),
+], ids=["unsorted", "non-canonical", "out-of-range", "out-of-range-undirected",
+        "too-short", "too-long"])
+def test_symmetric_sum_refuses_a_bad_key(n, k, terms, kind):
+    # an unsorted key reads coefficient 0 for every ordering, yet terms()
+    # lists them all
+    with pytest.raises(ValueError):
+        SymmetricSum(n, k, terms, kind)
+
+
+def test_symmetric_sum_makes_fractions_and_drops_zeros():
+    s = SymmetricSum(2, 2, {((1, 1), (1, 2)): 2, ((2, 2), (2, 2)): 0})
+    assert s._terms == {((1, 1), (1, 2)): Fraction(2)}
+    assert [type(c) for _, c in s.terms()] == [Fraction, Fraction]
+    assert s == FormalSum(2, 2, {D(2, ((1, 1), (1, 2))): 2, D(2, ((1, 2), (1, 1))): 2})
+    assert SymmetricSum(2, 1, {((1, 2),): Fraction(0)}).is_zero
