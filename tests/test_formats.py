@@ -245,23 +245,18 @@ def test_every_malformed_graph_line_is_named(g, fault, data):
 
 # Each malformed-term class, as the text of one term line of degree k.
 TERM_FAULTS = {
-    "no-bar": lambda n, k: "1/1 " + " ; ".join(["1 1"] * k),
-    "non-rational-coefficient": lambda n, k: "x | " + " ; ".join(["1 1"] * k),
-    "zero-denominator": lambda n, k: "1/0 | " + " ; ".join(["1 1"] * k),
-    "degree": lambda n, k: "1/1 | " + " ; ".join(["1 1"] * (k + 1)),
-    "empty-edge": lambda n, k: "1/1 | 1 1 ; ",
+    "no-bar": lambda k: "1/1 " + " ; ".join(["1 1"] * k),
+    "non-rational-coefficient": lambda k: "x | " + " ; ".join(["1 1"] * k),
+    "zero-denominator": lambda k: "1/0 | " + " ; ".join(["1 1"] * k),
+    "degree": lambda k: "1/1 | " + " ; ".join(["1 1"] * (k + 1)),
+    "empty-edge": lambda k: "1/1 | 1 1 ; ",
 }
-TERM_FAULTS.update({
-    f"edge-{name}": lambda n, k, edge=edge: "1/1 | " + " ; ".join(
-        ["1 1"] * (k - 1) + [edge(n)] if k else [edge(n)]
-    )
-    for name, edge in EDGE_FAULTS.items()
-})
 
 
 @seeded
 @given(formal_sums(), st.sampled_from(
     [("header", f) for f in HEADER_FAULTS] + [("term", f) for f in TERM_FAULTS]
+    + [("edge", f) for f in EDGE_FAULTS]
 ), st.data())
 def test_every_malformed_sum_line_is_named(s, fault, data):
     lines = format_formal_sum(s).splitlines()
@@ -271,7 +266,11 @@ def test_every_malformed_sum_line_is_named(s, fault, data):
         lines[0] = HEADER_FAULTS[name](lines[0].split()[0], s.n, s.k)
     else:
         at = data.draw(st.integers(1, len(lines)))
-        lines.insert(at, TERM_FAULTS[name](s.n, s.k))
+        if where == "term":
+            term = TERM_FAULTS[name](s.k)
+        else:
+            term = "1/1 | " + " ; ".join([EDGE_FAULTS[name](s.n)] + ["1 1"] * (s.k - 1))
+        lines.insert(at, term)
     text, numbers = data.draw(_spread(lines))
     with pytest.raises(GraphFormatError) as exc:
         parse_formal_sum(text)
