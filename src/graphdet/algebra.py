@@ -51,23 +51,18 @@ from .graphs import (
     forget,
     subgraphs,
 )
-
-
-def _coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
+from .poly import _exact
 
 
 class _LinearSum:
     """The vector-space structure that FormalSum and SymmetricSum share.
 
-    ``_terms`` maps plain edge tuples to nonzero Fractions; n, k and the
-    graph kind live on the sum alone.  A subclass supplies ``_key(edges)``,
-    the key of a graph's edges, ``_count(keys)``, the numbered graphs those
-    keys stand for, ``_numberings(key)``, the edge sequences of one key, and
+    ``_terms`` maps plain edge tuples to nonzero coefficients: ints while
+    they are integers, Fractions once a division makes them so.  ``coeff``,
+    ``terms()`` and ``diff`` return Fractions.  n, k and the graph kind live
+    on the sum alone.  A subclass supplies ``_key(edges)``, the key of a
+    graph's edges, ``_count(keys)``, the numbered graphs those keys stand
+    for, ``_numberings(key)``, the edge sequences of one key, and
     ``expand()``.  Graph objects are built from keys only on the way out.
     """
 
@@ -76,7 +71,7 @@ class _LinearSum:
     def __init__(self, n: int, k: int, terms: dict, kind=DirectedGraph):
         """Wrap clean terms as they are: keys of k edges of the given kind
         (canonical (min, max) pairs when undirected) mapped to nonzero
-        Fractions.  The dict is kept, not copied."""
+        ints or Fractions.  The dict is kept, not copied."""
         self.n = n
         self.k = k
         self.kind = kind
@@ -110,7 +105,7 @@ class _LinearSum:
     def coeff(self, g) -> Fraction:
         if type(g) is not self.kind or (g.n, g.k) != (self.n, self.k):
             return Fraction(0)
-        return self._terms.get(self._key(g.edges), Fraction(0))
+        return Fraction(self._terms.get(self._key(g.edges), 0))
 
     def _items(self) -> list[tuple]:
         """(edge sequence, coefficient) pairs of the expansion, sorted."""
@@ -118,7 +113,7 @@ class _LinearSum:
 
     def terms(self) -> list[tuple]:
         """(graph, coefficient) pairs of the expansion, sorted by edge sequence."""
-        return [(self.kind(self.n, edges), c) for edges, c in self._items()]
+        return [(self.kind(self.n, edges), Fraction(c)) for edges, c in self._items()]
 
     def support(self) -> list:
         return [g for g, _ in self.terms()]
@@ -137,12 +132,12 @@ class _LinearSum:
             raise ValueError(f"cannot compare sums of shapes {mine} and {theirs}")
         if type(other) is not type(self):
             return self.expand().diff(other.expand())
-        zero = Fraction(0)
         keys = set(self._terms) | set(other._terms)
         out = []
         for key in keys:
-            a, b = self._terms.get(key, zero), other._terms.get(key, zero)
+            a, b = self._terms.get(key, 0), other._terms.get(key, 0)
             if a != b:
+                a, b = Fraction(a), Fraction(b)
                 out.extend((seq, a, b) for seq in self._numberings(key))
         out.sort(key=lambda d: d[0])
         return out, self._count(keys)
@@ -184,7 +179,7 @@ class _LinearSum:
         return (-1) * self
 
     def scale(self, c):
-        c = _coeff(c)
+        c = _exact(c)
         terms = {key: c * x for key, x in self._terms.items()} if c else {}
         return self._like(terms, self.kind)
 
@@ -235,7 +230,7 @@ class FormalSum(_LinearSum):
         check_shape(n, k)
         clean: dict = {}
         for g, c in (terms or {}).items():
-            c = _coeff(c)
+            c = _exact(c)
             if c == 0:
                 continue
             if kind is None:
@@ -251,7 +246,7 @@ class FormalSum(_LinearSum):
 
     @classmethod
     def single(cls, g, c=1) -> "FormalSum":
-        return cls(g.n, g.k, {g: _coeff(c)}, type(g))
+        return cls(g.n, g.k, {g: c}, type(g))
 
     def expand(self, cap: int | None = None) -> "FormalSum":
         """The sum over numbered graphs: this sum itself."""
@@ -303,12 +298,13 @@ class SymmetricSum(_LinearSum):
     ``_terms`` maps each sorted edge tuple (edge multiset) to the nonzero
     coefficient that every distinct ordering of it carries.  The
     constructor refuses a key that is not a sorted tuple of k edges of the
-    kind on vertices 1..n (undirected edges as (min, max) pairs), makes
-    each coefficient a Fraction and drops the zeros.  As a vector the sum
-    equals ``expand()``, the FormalSum over all those numbered graphs, and
-    it answers the same queries: ``len()`` counts numbered graphs,
-    ``coeff(g)`` looks up ``sorted(g.edges)``, ``terms()`` and ``support()``
-    list the expansion, and ``==`` against a FormalSum compares expansions.
+    kind on vertices 1..n (undirected edges as (min, max) pairs), refuses a
+    coefficient that is not an int or a Fraction and drops the zeros.  As
+    a vector the sum equals ``expand()``, the FormalSum over all those
+    numbered graphs, and it answers the same queries: ``len()`` counts
+    numbered graphs, ``coeff(g)`` looks up ``sorted(g.edges)``, ``terms()``
+    and ``support()`` list the expansion, and ``==`` against a FormalSum
+    compares expansions.
     The internal builders, whose keys are clean by construction, go past
     the checks through ``_wrap``.  The kind defaults
     to directed, as every class sum is; ``universal_potts`` builds
@@ -321,7 +317,7 @@ class SymmetricSum(_LinearSum):
         check_shape(n, k)
         clean: dict = {}
         for key, c in (terms or {}).items():
-            c = _coeff(c)
+            c = _exact(c)
             if c == 0:
                 continue
             if len(key) != k or key != self._key(kind(n, key).edges):
@@ -527,11 +523,10 @@ def _class_walk(n: int, k: int) -> dict:
     """Every k-edge multiset, classified once and filed with its sign
     (-1)^beta0 under ("SSC", isolated set) if strongly semiconnected and
     under ("AC", sink set) if acyclic."""
-    plus, minus = Fraction(1), Fraction(-1)
     buckets: dict = {}
     for multiset in itertools.combinations_with_replacement(directed_edge_types(n), k):
         c = _classify(n, multiset)
-        sign = minus if c.beta0 % 2 else plus
+        sign = -1 if c.beta0 % 2 else 1
         if c.strongly_semiconnected:
             buckets.setdefault(("SSC", c.isolated), {})[multiset] = sign
         if c.acyclic:
@@ -561,7 +556,7 @@ def class_sum(
     buckets = _walk(n, k, cap)
     keys = [b for b in buckets if b[0] == cls] if key is None else [key]
     signs = {m: c for b in keys for m, c in buckets.get(b, {}).items()}
-    terms = signs if signed else dict.fromkeys(signs, Fraction(1))
+    terms = signs if signed else dict.fromkeys(signs, 1)
     return SymmetricSum._wrap(n, k, terms)
 
 

@@ -19,6 +19,7 @@ are then stored canonically.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .graphs import DirectedGraph
 from .algebra import FormalSum, SymmetricSum, multiplicity_factor
@@ -90,7 +91,7 @@ def _laplace_multisets(s: SymmetricSum) -> SymmetricSum:
         for combo in itertools.product(*[_replacements(kind, n, a) for a in loops]):
             image = tuple(sorted(fixed + combo))
             images[image] = images.get(image, 0) + 1
-        c = (-1) ** len(loops) * c / multiplicity_factor(multiset)
+        c = Fraction((-1) ** len(loops) * c, multiplicity_factor(multiset))
         for image, t in images.items():
             c2 = terms.get(image, 0) + c * t * multiplicity_factor(image)
             if c2:

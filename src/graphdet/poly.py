@@ -2,10 +2,12 @@
 
 Variables are either matrix entries w[i,j] or named scalars (q, v, x, y).
 A polynomial is a map from monomials (sorted variable-exponent tuples) to
-nonzero Fractions.  Everything is exact; there is no floating point
-anywhere.  The determinant is computed by cofactor expansion, which is
-division-free and perfectly adequate for the matrix sizes used here, and
-"minor" always means the plain sub-determinant with no cofactor sign.
+nonzero exact coefficients, kept as ints while they are integers and as
+Fractions once a division makes them so; its accessors return Fractions.
+Everything is exact; there is no floating point anywhere.  The
+determinant is computed by cofactor expansion, which is division-free and
+perfectly adequate for the matrix sizes used here, and "minor" always means
+the plain sub-determinant with no cofactor sign.
 """
 
 from __future__ import annotations
@@ -54,23 +56,31 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def _as_fraction(value) -> Fraction:
+def _exact(value) -> int | Fraction:
+    """An exact coefficient as it is: an int stays an int (a bool becomes
+    one) and a Fraction stays a Fraction.  Sums and polynomials store
+    integers as ints and build a Fraction only where a division happens or
+    a caller reads a coefficient.  Anything else, a float included, raises
+    TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+        return int(value)
+    raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
 class MultiPoly:
-    """A finite rational linear combination of monomials."""
+    """A finite rational linear combination of monomials.
+
+    ``_terms`` maps each monomial to a nonzero int or Fraction;
+    ``terms()``, ``constant_value`` and ``evaluate`` return Fractions."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict = {}
         for mono, c in (terms or {}).items():
-            c = _as_fraction(c)
+            c = _exact(c)
             if c:
                 clean[tuple(sorted(mono))] = c
         self._terms = clean
@@ -81,7 +91,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c) -> "MultiPoly":
-        return cls({(): _as_fraction(c)})
+        return cls({(): _exact(c)})
 
     @classmethod
     def variable(cls, var: Variable, exp: int = 1) -> "MultiPoly":
@@ -89,14 +99,14 @@ class MultiPoly:
             raise ValueError("negative exponents are not supported")
         if exp == 0:
             return cls.const(1)
-        return cls({((var, exp),): Fraction(1)})
+        return cls({((var, exp),): 1})
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items())
+        return [(mono, Fraction(c)) for mono, c in sorted(self._terms.items())]
 
     def __bool__(self):
         return bool(self._terms)
@@ -146,7 +156,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _mono_mul(m1, m2)
@@ -183,7 +193,7 @@ class MultiPoly:
             raise ValueError("derivative order must be at least 1")
         cur = self
         for _ in range(m):
-            terms: dict[Monomial, Fraction] = {}
+            terms: dict = {}
             for mono, c in cur._terms.items():
                 exps = dict(mono)
                 e = exps.get(var, 0)
@@ -220,7 +230,7 @@ class MultiPoly:
                 else:
                     residue[var] = e
             if residue:
-                term = term * MultiPoly({tuple(sorted(residue.items())): Fraction(1)})
+                term = term * MultiPoly({tuple(sorted(residue.items())): 1})
             total = total + term
         return total
 
@@ -240,7 +250,7 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self._terms[()]
+        return Fraction(self._terms[()])
 
     def __str__(self):
         if not self._terms:
@@ -338,7 +348,7 @@ def pairing(m: WeightMatrix, s) -> MultiPoly:
         for seq, c in s._terms.items():
             ms = tuple(sorted(seq))
             grouped[ms] = grouped.get(ms, 0) + c
-    total: dict[Monomial, Fraction] = {}
+    total: dict = {}
     for ms, c in grouped.items():
         if not c:
             continue

@@ -22,13 +22,19 @@ derived identities recorded in the report notes.
 """
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import graphdet
 from graphdet import (
     DirectedGraph,
     WeightMatrix,
@@ -47,7 +53,7 @@ from graphdet.poly import MultiPoly, Q, V, X, Y
 from graphdet.potts import potts
 from graphdet.verify import (
     SuiteConfig,
-    run_suite,
+    suite_cells,
     verify_codim1,
     verify_derivative,
     verify_diag,
@@ -341,16 +347,28 @@ def test_operator_laws():
 
 
 def test_suite_determinism_across_jobs():
+    """The default suite, run by ``python -m graphdet`` in two fresh
+    interpreters with different ``--jobs`` and hash seeds, writes the same
+    report payloads byte for byte, apart from ``elapsed_ms``."""
     t0 = time.perf_counter()
-
-    def payload(jobs):
-        reports = run_suite(SuiteConfig(jobs=jobs))
-        stripped = []
-        for r in reports:
-            d = r.to_json_dict()
-            d.pop("elapsed_ms")
-            stripped.append(d)
-        return json.dumps(stripped, sort_keys=True)
-
-    ok = payload(1) == payload(8)
-    _conclude("suite-determinism", ok, t0)
+    src = str(Path(graphdet.__file__).resolve().parent.parent)
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for jobs, seed in ((1, "0"), (2, "1")):
+            out = Path(tmp) / f"suite-{jobs}.json"
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            cmd = [sys.executable, "-m", "graphdet", "suite", "--jobs", str(jobs),
+                   "--json", str(out)]
+            runs.append((subprocess.Popen(cmd, env=env, cwd=tmp), out))
+        codes = [proc.wait(timeout=300) for proc, _ in runs]
+        payloads = []
+        for _, out in runs:
+            reports = json.loads(out.read_text())
+            for r in reports:
+                r.pop("elapsed_ms")
+            payloads.append(reports)
+    # theta fails by design at n = 3, so the suite exits 1.
+    assert codes == [1, 1]
+    assert len(payloads[0]) == len(suite_cells(SuiteConfig()))
+    first, second = (json.dumps(p, indent=2) for p in payloads)
+    _conclude("suite-determinism", first == second, t0)

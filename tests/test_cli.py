@@ -1,10 +1,15 @@
 """Command-line behaviour: outputs, round trips, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphdet
 from graphdet import parse_formal_sum, universal_det
 from graphdet.cli import main
 from graphdet.verify import CHECK_FUNCTIONS, SuiteConfig, run_check, run_suite
@@ -411,3 +416,20 @@ def test_laplace_may_write_over_its_input(tmp_path, capsys):
     code, out, _ = run(capsys, "laplace", str(src), "-o", str(src))
     assert code == 0 and out == ""
     assert src.read_text() == "FS 2 2\n1/1 | 1 2 ; 2 1\n"
+
+
+def test_python_m_graphdet_runs_the_cli(tmp_path, capsys):
+    src = str(Path(graphdet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "graphdet", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+
+    argv = ["det", "--n", "2", "--k", "2", "--sinks", "1"]
+    proc = run_module(*argv)
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+    assert code == 0 and out.startswith("FS 2 2\n")
+    bad = run_module("verify", "theta", "--n", "1")
+    assert bad.returncode == 2 and bad.stderr.startswith("error:")
