@@ -25,7 +25,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -346,29 +345,27 @@ def test_operator_laws():
     _conclude("operator-laws", ok, t0)
 
 
-def test_suite_determinism_across_jobs():
+def test_suite_determinism_across_jobs(tmp_path):
     """The default suite, run by ``python -m graphdet`` in two fresh
     interpreters with different ``--jobs`` and hash seeds, writes the same
     report payloads byte for byte, apart from ``elapsed_ms``."""
     t0 = time.perf_counter()
     src = str(Path(graphdet.__file__).resolve().parent.parent)
-    with tempfile.TemporaryDirectory() as tmp:
-        runs = []
-        for jobs, seed in ((1, "0"), (2, "1")):
-            out = Path(tmp) / f"suite-{jobs}.json"
-            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
-            cmd = [sys.executable, "-m", "graphdet", "suite", "--jobs", str(jobs),
-                   "--json", str(out)]
-            runs.append((subprocess.Popen(cmd, env=env, cwd=tmp), out))
-        codes = [proc.wait(timeout=300) for proc, _ in runs]
-        payloads = []
-        for _, out in runs:
-            reports = json.loads(out.read_text())
-            for r in reports:
-                r.pop("elapsed_ms")
-            payloads.append(reports)
+    runs = []
+    for jobs, seed in ((1, "0"), (2, "1")):
+        out = tmp_path / f"suite-{jobs}.json"
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        cmd = [sys.executable, "-m", "graphdet", "suite", "--jobs", str(jobs),
+               "--json", str(out)]
+        runs.append((subprocess.Popen(cmd, env=env, cwd=tmp_path), out))
+    codes = [proc.wait(timeout=300) for proc, _ in runs]
+    payloads = []
+    for _, out in runs:
+        reports = json.loads(out.read_text())
+        for r in reports:
+            r.pop("elapsed_ms")
+        payloads.append(json.dumps(reports, indent=2))
     # theta fails by design at n = 3, so the suite exits 1.
     assert codes == [1, 1]
-    assert len(payloads[0]) == len(suite_cells(SuiteConfig()))
-    first, second = (json.dumps(p, indent=2) for p in payloads)
-    _conclude("suite-determinism", first == second, t0)
+    assert len(json.loads(payloads[0])) == len(suite_cells(SuiteConfig()))
+    _conclude("suite-determinism", payloads[0] == payloads[1], t0)
