@@ -51,7 +51,7 @@ from .graphs import (
     forget,
     subgraphs,
 )
-from .poly import _exact
+from .poly import _accumulate, _exact
 
 
 class _LinearSum:
@@ -163,14 +163,7 @@ class _LinearSum:
         if type(other) is not type(self):
             return self.expand() + other.expand()
         kind = _common_kind(self, other)
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            c2 = terms.get(key, 0) + c
-            if c2:
-                terms[key] = c2
-            else:
-                terms.pop(key, None)
-        return self._like(terms, kind)
+        return self._like(_accumulate(dict(self._terms), other._terms.items()), kind)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -602,16 +595,23 @@ def theta(n: int, cap: int | None = None) -> GradedElement:
     if n < 2:
         raise ValueError("need n >= 2")
     high = universal_det(n, n + 1, (), cap=cap)
+    low = _theta_low(n, lambda k, I: universal_det(n, k, I, cap=cap))
+    return GradedElement(n, {n + 1: high, n - 1: low})
+
+
+def _theta_low(n: int, element: Callable) -> FormalSum:
+    """Theta's degree-(n-1) part with ``element(k, I)`` in place of each
+    diagonal minor element: minus the sum over i != j of the edge (i,j)
+    followed by element(n-2, {i,j}), minus the sum of element(n-1, {i})."""
     low = FormalSum.zero(n, n - 1)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i == j:
-                continue
-            edge = FormalSum.single(DirectedGraph(n, ((i, j),)))
-            low = low - concat_product(edge, universal_det(n, n - 2, (i, j), cap=cap))
+            if i != j:
+                edge = FormalSum.single(DirectedGraph(n, ((i, j),)))
+                low = low - concat_product(edge, element(n - 2, (i, j)))
     for i in range(1, n + 1):
-        low = low - universal_det(n, n - 1, (i,), cap=cap)
-    return GradedElement(n, {n + 1: high, n - 1: low})
+        low = low - element(n - 1, (i,))
+    return low
 
 
 def forget_sum(s: FormalSum) -> FormalSum:

@@ -138,15 +138,8 @@ class DirectedGraph(_Graph):
         a, b = self.edges[p - 1]
         if a == b:
             raise ValueError("cannot contract a loop edge")
-        lo, hi = min(a, b), max(a, b)
-
-        def remap(v: int) -> int:
-            if v == hi:
-                return lo
-            return v - 1 if v > hi else v
-
         rest = self.edges[: p - 1] + self.edges[p:]
-        return DirectedGraph(self.n - 1, tuple((remap(x), remap(y)) for x, y in rest))
+        return DirectedGraph(self.n - 1, _merge_vertices(rest, min(a, b), max(a, b)))
 
     def reverse_edge(self, p: int) -> "DirectedGraph":
         self._check_pos(p)
@@ -181,6 +174,18 @@ class UndirectedGraph(_Graph):
 Graph = DirectedGraph | UndirectedGraph
 
 
+def _merge_vertices(edges: Iterable[Edge], lo: int, hi: int) -> tuple[Edge, ...]:
+    """The edges with vertex hi merged into lo (lo < hi) and the vertices
+    above hi shifted down by one; each edge keeps its orientation and its
+    place."""
+    def remap(v: int) -> int:
+        if v == hi:
+            return lo
+        return v - 1 if v > hi else v
+
+    return tuple((remap(x), remap(y)) for x, y in edges)
+
+
 @dataclass(frozen=True)
 class GraphClassification:
     """Structural facts about a directed graph, all numbering-invariant."""
@@ -200,6 +205,21 @@ class GraphClassification:
 _DIR_CACHE: dict[tuple[int, tuple[Edge, ...]], GraphClassification] = {}
 
 
+def _reach(adj: list[int], v: int) -> int:
+    """Bit mask of the vertices reachable from v, v included, where bit w of
+    adj[u] is set when there is an edge from u to w."""
+    mask = 1 << v
+    stack = [v]
+    while stack:
+        new = adj[stack.pop()] & ~mask
+        mask |= new
+        while new:
+            w = (new & -new).bit_length() - 1
+            stack.append(w)
+            new &= new - 1
+    return mask
+
+
 def _components(n: int, edges: Iterable[Edge]) -> list[int]:
     """Vertex bit masks of the connected components of the underlying graph."""
     und = [0] * (n + 1)
@@ -209,22 +229,9 @@ def _components(n: int, edges: Iterable[Edge]) -> list[int]:
     comps = []
     seen = 0
     for v in range(1, n + 1):
-        if seen >> v & 1:
-            continue
-        mask = 0
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if mask >> u & 1:
-                continue
-            mask |= 1 << u
-            m = und[u] & ~mask
-            while m:
-                w = (m & -m).bit_length() - 1
-                stack.append(w)
-                m &= m - 1
-        seen |= mask
-        comps.append(mask)
+        if not seen >> v & 1:
+            comps.append(_reach(und, v))
+            seen |= comps[-1]
     return comps
 
 
@@ -257,20 +264,7 @@ def _closure(n: int, edges: Iterable[Edge]) -> list[int]:
     adj = [0] * (n + 1)
     for a, b in edges:
         adj[a] |= 1 << b
-    reach = [0] * (n + 1)
-    for v in range(1, n + 1):
-        mask = 1 << v
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            new = adj[u] & ~mask
-            mask |= new
-            while new:
-                w = (new & -new).bit_length() - 1
-                stack.append(w)
-                new &= new - 1
-        reach[v] = mask
-    return reach
+    return [0] + [_reach(adj, v) for v in range(1, n + 1)]
 
 
 def _classify(n: int, sorted_edges: tuple[Edge, ...]) -> GraphClassification:

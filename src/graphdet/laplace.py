@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .graphs import DirectedGraph
 from .algebra import FormalSum, SymmetricSum, multiplicity_factor
+from .poly import _accumulate
 
 
 def _replacements(kind, n: int, a: int):
@@ -92,10 +93,5 @@ def _laplace_multisets(s: SymmetricSum) -> SymmetricSum:
             image = tuple(sorted(fixed + combo))
             images[image] = images.get(image, 0) + 1
         c = Fraction((-1) ** len(loops) * c, multiplicity_factor(multiset))
-        for image, t in images.items():
-            c2 = terms.get(image, 0) + c * t * multiplicity_factor(image)
-            if c2:
-                terms[image] = c2
-            else:
-                terms.pop(image, None)
+        _accumulate(terms, ((m, c * t * multiplicity_factor(m)) for m, t in images.items()))
     return SymmetricSum._wrap(s.n, s.k, terms, kind)

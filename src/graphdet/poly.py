@@ -69,6 +69,18 @@ def _exact(value) -> int | Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
+def _accumulate(terms: dict, items) -> dict:
+    """Add each (key, coefficient) pair of items into terms, dropping the
+    keys whose coefficients cancel to zero; returns terms."""
+    for key, c in items:
+        c2 = terms.get(key, 0) + c
+        if c2:
+            terms[key] = c2
+        else:
+            terms.pop(key, None)
+    return terms
+
+
 class MultiPoly:
     """A finite rational linear combination of monomials.
 
@@ -84,6 +96,14 @@ class MultiPoly:
             if c:
                 clean[tuple(sorted(mono))] = c
         self._terms = clean
+
+    @staticmethod
+    def _wrap(terms: dict) -> "MultiPoly":
+        """The trusted constructor: terms already map sorted monomials to
+        nonzero ints or Fractions.  The dict is kept, not copied."""
+        out = MultiPoly.__new__(MultiPoly)
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -125,16 +145,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        for mono, c in other._terms.items():
-            c2 = terms.get(mono, 0) + c
-            if c2:
-                terms[mono] = c2
-            else:
-                terms.pop(mono, None)
-        out = MultiPoly.__new__(MultiPoly)
-        out._terms = terms
-        return out
+        return MultiPoly._wrap(_accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -148,26 +159,17 @@ class MultiPoly:
         return self._coerce(other) - self
 
     def __neg__(self):
-        out = MultiPoly.__new__(MultiPoly)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return MultiPoly._wrap({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                c = terms.get(mono, 0) + c1 * c2
-                if c:
-                    terms[mono] = c
-                else:
-                    terms.pop(mono, None)
-        out = MultiPoly.__new__(MultiPoly)
-        out._terms = terms
-        return out
+        return MultiPoly._wrap(_accumulate({}, (
+            (_mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
+        )))
 
     __rmul__ = __mul__
 
@@ -193,25 +195,15 @@ class MultiPoly:
             raise ValueError("derivative order must be at least 1")
         cur = self
         for _ in range(m):
-            terms: dict = {}
+            items = []
             for mono, c in cur._terms.items():
                 exps = dict(mono)
-                e = exps.get(var, 0)
-                if e == 0:
-                    continue
-                if e == 1:
-                    del exps[var]
-                else:
-                    exps[var] = e - 1
-                key = tuple(sorted(exps.items()))
-                c2 = terms.get(key, 0) + c * e
-                if c2:
-                    terms[key] = c2
-                else:
-                    terms.pop(key, None)
-            nxt = MultiPoly.__new__(MultiPoly)
-            nxt._terms = terms
-            cur = nxt
+                e = exps.pop(var, 0)
+                if e:
+                    if e > 1:
+                        exps[var] = e - 1
+                    items.append((tuple(sorted(exps.items())), c * e))
+            cur = MultiPoly._wrap(_accumulate({}, items))
         return cur
 
     def substitute(self, assignment: dict) -> "MultiPoly":
@@ -344,20 +336,14 @@ def pairing(m: WeightMatrix, s) -> MultiPoly:
     if isinstance(s, SymmetricSum):
         grouped = {ms: c * orderings(ms) for ms, c in s._terms.items()}
     else:
-        grouped = {}
-        for seq, c in s._terms.items():
-            ms = tuple(sorted(seq))
-            grouped[ms] = grouped.get(ms, 0) + c
+        grouped = _accumulate({}, ((tuple(sorted(seq)), c) for seq, c in s._terms.items()))
     total: dict = {}
     for ms, c in grouped.items():
-        if not c:
-            continue
         prod = MultiPoly.const(c)
         for a, b in ms:
             prod = prod * m.entry(a, b)
-        for mono, x in prod._terms.items():
-            total[mono] = total.get(mono, 0) + x
-    return MultiPoly(total)
+        _accumulate(total, prod._terms.items())
+    return MultiPoly._wrap(total)
 
 
 def determinant(m: WeightMatrix) -> MultiPoly:

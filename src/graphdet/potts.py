@@ -22,6 +22,7 @@ from .graphs import (
     UndirectedGraph,
     _beta0,
     _class_test,
+    _merge_vertices,
     check_cap,
     check_shape,
     classify,
@@ -52,15 +53,20 @@ def potts(u: UndirectedGraph, cap: int | None = None) -> MultiPoly:
 
 def potts_value(u: UndirectedGraph, q0, v0, cap: int | None = None) -> Fraction:
     """The partition function evaluated at exact rationals, without building
-    the polynomial.  q0 and v0 must be ints or Fractions; the sum runs in
-    the type given, so integer points stay in int arithmetic."""
+    the polynomial; q0 and v0 must be ints or Fractions."""
+    return Fraction(_potts_sum(_subset_counts(u, cap), q0, v0))
+
+
+def _potts_sum(counts: dict, q0, v0):
+    """The partition function at (q0, v0) from a ``_subset_counts`` table.
+    q0 and v0 must be ints or Fractions; the sum runs in the type given, so
+    it is an int at integer points."""
     for x in (q0, v0):
         if not isinstance(x, (int, Fraction)):
             raise TypeError(
                 f"Potts values must be exact rationals, got {type(x).__name__}"
             )
-    counts = _subset_counts(u, cap).items()
-    return Fraction(sum(c * q0 ** b0 * v0 ** size for (b0, size), c in counts))
+    return sum(c * q0 ** b0 * v0 ** size for (b0, size), c in counts.items())
 
 
 def shave(u: UndirectedGraph) -> UndirectedGraph:
@@ -86,24 +92,10 @@ def _tutte(n: int, edges: tuple) -> MultiPoly:
     rest = edges[:-1]
     if a == b:
         return MultiPoly.variable(Y) * _tutte(n, rest)
-    contracted = _contract(n, rest, a, b)
+    merged = tuple(sorted(UndirectedGraph._canonical(_merge_vertices(rest, a, b))))
     if _beta0(n, rest) > _beta0(n, edges):  # removing it disconnects: bridge
-        return MultiPoly.variable(X) * _tutte(*contracted)
-    return _tutte(n, rest) + _tutte(*contracted)
-
-
-def _contract(n: int, edges: tuple, a: int, b: int) -> tuple[int, tuple]:
-    """Merge b into a (a < b), shifting higher vertex indices down."""
-    def remap(v: int) -> int:
-        if v == b:
-            return a
-        return v - 1 if v > b else v
-
-    out = []
-    for x, y in edges:
-        x2, y2 = remap(x), remap(y)
-        out.append((min(x2, y2), max(x2, y2)))
-    return n - 1, tuple(sorted(out))
+        return MultiPoly.variable(X) * _tutte(n - 1, merged)
+    return _tutte(n, rest) + _tutte(n - 1, merged)
 
 
 def count_orientations(u: UndirectedGraph, cls: str, cap: int | None = None) -> int:
@@ -130,7 +122,7 @@ def universal_potts(
     terms: dict = {}
     for multiset in combinations_with_replacement(undirected_edge_types(n), k):
         u = UndirectedGraph(n, multiset)
-        val = potts_value(shave(u) if shaved else u, q0, v0, cap=cap)
+        val = _potts_sum(_subset_counts(shave(u) if shaved else u, cap), q0, v0)
         if val:
             terms[multiset] = val
     return SymmetricSum._wrap(n, k, terms, UndirectedGraph)

@@ -24,6 +24,7 @@ from math import factorial
 from .algebra import (
     FormalSum,
     SymmetricSum,
+    _theta_low,
     class_sum,
     concat_product,
     distinct_permutations,
@@ -34,6 +35,7 @@ from .algebra import (
 from .graphs import (
     DirectedGraph,
     UndirectedGraph,
+    _beta0,
     _classify_key,
     check_cap,
     check_shape,
@@ -44,7 +46,7 @@ from .graphs import (
 )
 from .laplace import b_op, laplace
 from .poly import MultiPoly, WeightMatrix, laplace_matrix, minor, pairing, w
-from .potts import count_orientations, potts_value, shave, universal_potts
+from .potts import _potts_sum, _subset_counts, count_orientations, shave, universal_potts
 
 EXPECTED_SIGNS = {"expansion": -1, "derivative": -1}
 
@@ -450,16 +452,17 @@ def verify_kirchhoff_codim1(n: int, i: int, j: int, cap=None) -> VerificationRep
 
 def _specval_case(n, k, edges):
     u = UndirectedGraph(n, edges)
-    b0 = _classify_key(n, tuple(sorted(edges))).beta0
+    sign = (-1) ** _beta0(n, edges)
     loops = sum(1 for a, b in edges if a == b)
     ssc_count = count_orientations(u, "SSC")
     ac_count = count_orientations(u, "AC")
-    z_m1_1 = potts_value(u, -1, 1)
-    z_m1_m1 = potts_value(u, -1, -1)
+    counts = _subset_counts(u, None)
+    z_m1_1 = _potts_sum(counts, -1, 1)
+    shaved = _potts_sum(_subset_counts(shave(u), None), -1, 1) if loops else z_m1_1
     return _first_mismatch([
-        (Fraction((-1) ** b0 * 2 ** loops * ssc_count), z_m1_1),
-        (Fraction((-1) ** n * ac_count), z_m1_m1),
-        (Fraction(ssc_count), Fraction((-1) ** b0) * potts_value(shave(u), -1, 1)),
+        (sign * 2 ** loops * ssc_count, z_m1_1),
+        ((-1) ** n * ac_count, _potts_sum(counts, -1, -1)),
+        (ssc_count, sign * shaved),
     ])
 
 
@@ -520,20 +523,11 @@ def verify_theta(n: int, cap=None) -> VerificationReport:
 
     notes = [f"top-degree part vanishes: {hi.is_zero}"]
 
-    # Derived identity actually satisfied by the Laplace image.
-    derived = FormalSum.zero(n, n - 1)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            edge = FormalSum.single(DirectedGraph(n, ((i, j),)))
-            derived = derived + Fraction(1, factorial(n - 2)) * concat_product(
-                edge, class_sum(n, n - 2, "AC", (i, j), cap=cap)
-            )
-        derived = derived + Fraction(1, factorial(n - 1)) * class_sum(
-            n, n - 1, "AC", (i,), cap=cap
-        )
-    derived = Fraction(-((-1) ** n)) * derived
+    # Derived identity actually satisfied by the Laplace image: theta's low
+    # part with each diagonal minor element replaced by its Laplace image.
+    derived = _theta_low(
+        n, lambda k, I: Fraction((-1) ** n, factorial(k)) * class_sum(n, k, "AC", I, cap=cap)
+    )
     notes.append(f"derived componentwise image holds: {lo == derived}")
 
     # Pairing consequence with the symbolic zero-row-sum matrix.

@@ -345,10 +345,20 @@ def test_operator_laws():
     _conclude("operator-laws", ok, t0)
 
 
+def _verdicts(cells) -> dict:
+    """(check, params) -> (status, sign, failures) of report-like dicts."""
+    return {
+        (c["check"], json.dumps(c["params"], sort_keys=True)):
+            (c["status"], c["sign"], c["failures"])
+        for c in cells
+    }
+
+
 def test_suite_determinism_across_jobs(tmp_path):
     """The default suite, run by ``python -m graphdet`` in two fresh
     interpreters with different ``--jobs`` and hash seeds, writes the same
-    report payloads byte for byte, apart from ``elapsed_ms``."""
+    report payloads byte for byte, apart from ``elapsed_ms``, and every
+    cell's verdict equals the one in ``perfbench/reference.json``."""
     t0 = time.perf_counter()
     src = str(Path(graphdet.__file__).resolve().parent.parent)
     runs = []
@@ -368,4 +378,10 @@ def test_suite_determinism_across_jobs(tmp_path):
     # theta fails by design at n = 3, so the suite exits 1.
     assert codes == [1, 1]
     assert len(json.loads(payloads[0])) == len(suite_cells(SuiteConfig()))
+    # Every verdict equals the one the benchmark reference records.
+    reference = json.loads((Path(src).parent / "perfbench" / "reference.json").read_text())
+    want = _verdicts(c for c in reference["cells"] if c["suite"])
+    got = _verdicts(json.loads(payloads[0]))
+    assert sorted(got) == sorted(want)
+    assert [key for key in want if got[key] != want[key]] == []
     _conclude("suite-determinism", payloads[0] == payloads[1], t0)

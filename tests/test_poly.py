@@ -17,7 +17,7 @@ from graphdet import (
     universal_det,
     w,
 )
-from graphdet.poly import Q, V, Variable
+from graphdet.poly import Q, V, Variable, _accumulate
 
 var = MultiPoly.variable
 
@@ -166,3 +166,18 @@ def test_variable_ordering_is_stable():
     assert str(p) == "1/1 * q + 1/1 * v + 1/1 * w[1,2]"
     assert str(MultiPoly.zero()) == "0/1"
     assert Variable("q") < Variable("v") < w(1, 1) < w(1, 2)
+
+
+def test_accumulate_drops_cancelled_keys():
+    terms = {"a": 1, "b": 2}
+    items = [("a", -1), ("c", Fraction(1, 2)), ("b", 1), ("d", 0)]
+    assert _accumulate(terms, items) is terms
+    assert terms == {"b": 3, "c": Fraction(1, 2)}
+
+
+def test_pairing_drops_orderings_that_cancel():
+    g, h = DirectedGraph(2, ((1, 2), (2, 1))), DirectedGraph(2, ((2, 1), (1, 2)))
+    assert pairing(WeightMatrix.symbolic(2), FormalSum(2, 2, {g: 1, h: -1})).is_zero
+    assert pairing(WeightMatrix.symbolic(2), FormalSum(2, 2, {g: 1, h: 1})) == (
+        2 * var(w(1, 2)) * var(w(2, 1))
+    )

@@ -154,3 +154,11 @@ def test_potts_value_is_a_fraction_at_int_and_fraction_points():
     assert potts_value(u, Fraction(1, 10), 1) == potts(u).evaluate(
         {Q: Fraction(1, 10), V: 1}
     )
+
+
+def test_universal_potts_keeps_ints_at_integer_points():
+    s = universal_potts(3, 3, -1, -1)
+    assert s._terms and {type(c) for c in s._terms.values()} == {int}
+    assert {type(c) for _, c in s.terms()} == {Fraction}
+    half = universal_potts(2, 2, Fraction(1, 2), 1)
+    assert Fraction in {type(c) for c in half._terms.values()}

@@ -141,6 +141,19 @@ def test_specval_and_lapl_tutte():
     assert verify_lapl_tutte(3, 2).ok
 
 
+def test_specval_counts_subsets_once_per_graph(monkeypatch):
+    # one subset-count table per multiset serves both Potts points; the
+    # shaved copy is counted only when the multiset has a loop: 126
+    # multisets at (3, 4), 15 of them loop-free
+    real = verify._subset_counts
+    calls = []
+    monkeypatch.setattr(
+        verify, "_subset_counts", lambda u, cap: calls.append(u) or real(u, cap)
+    )
+    assert verify_specval(3, 4).ok
+    assert len(calls) == 126 + (126 - 15)
+
+
 def test_lapl_tutte_lists_every_looped_graph_in_order(monkeypatch):
     # with the Laplace operator skipped the left side keeps its loops; the
     # report must list the coefficient mismatches and then, side by side,
