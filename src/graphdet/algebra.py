@@ -484,31 +484,16 @@ def sum_over_subgraphs(f: Callable, g: DirectedGraph, cap: int | None = None):
 
 
 def distinct_permutations(items: tuple) -> Iterator[tuple]:
-    """All distinct orderings of a multiset, in lexicographic order."""
-    pool = sorted(items)
-    k = len(pool)
-    if k == 0:
+    """All distinct orderings of a multiset, in lexicographic order: each
+    place takes the values left in sorted order, skipping a value equal to
+    its left neighbour."""
+    pool = tuple(sorted(items))
+    if not pool:
         yield ()
-        return
-    counts: dict = {}
-    for it in pool:
-        counts[it] = counts.get(it, 0) + 1
-    keys = sorted(counts)
-    current: list = []
-
-    def rec():
-        if len(current) == k:
-            yield tuple(current)
-            return
-        for key in keys:
-            if counts[key]:
-                counts[key] -= 1
-                current.append(key)
-                yield from rec()
-                current.pop()
-                counts[key] += 1
-
-    yield from rec()
+    for i, x in enumerate(pool):
+        if i == 0 or x != pool[i - 1]:
+            for rest in distinct_permutations(pool[:i] + pool[i + 1:]):
+                yield (x,) + rest
 
 
 @lru_cache(maxsize=None)

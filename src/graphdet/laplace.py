@@ -19,7 +19,6 @@ are then stored canonically.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .graphs import DirectedGraph
 from .algebra import FormalSum, SymmetricSum, multiplicity_factor
@@ -78,8 +77,9 @@ def _laplace_multisets(s: SymmetricSum) -> SymmetricSum:
     m(M) being the product of its multiplicity factorials.  Resolving the
     loops of one fixed ordering of M reaches each image multiset M' some
     number of times t; over all orderings of M that is t * k!/m(M) numbered
-    images, spread evenly over the k!/m(M') orderings of M'.  So M adds
-    sign * c * t * m(M') / m(M) to the coefficient of M'.
+    images, spread evenly over the k!/m(M') orderings of M'.  So each
+    ordering of M' is reached t * m(M') / m(M) times, an integer, and M adds
+    sign * c times that count to the coefficient of M'.
     """
     n, kind = s.n, s.kind
     terms: dict = {}
@@ -92,6 +92,7 @@ def _laplace_multisets(s: SymmetricSum) -> SymmetricSum:
         for combo in itertools.product(*[_replacements(kind, n, a) for a in loops]):
             image = tuple(sorted(fixed + combo))
             images[image] = images.get(image, 0) + 1
-        c = Fraction((-1) ** len(loops) * c, multiplicity_factor(multiset))
-        _accumulate(terms, ((m, c * t * multiplicity_factor(m)) for m, t in images.items()))
+        c, m0 = (-1) ** len(loops) * c, multiplicity_factor(multiset)
+        ratios = ((m, t * multiplicity_factor(m) // m0) for m, t in images.items())
+        _accumulate(terms, ((m, c * r) for m, r in ratios))
     return SymmetricSum._wrap(s.n, s.k, terms, kind)

@@ -57,13 +57,14 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
 
 
 def _exact(value) -> int | Fraction:
-    """An exact coefficient as it is: an int stays an int (a bool becomes
-    one) and a Fraction stays a Fraction.  Sums and polynomials store
+    """An exact coefficient in its stored form: an integer is an int,
+    whether given as an int, a bool or a Fraction with denominator 1, and
+    any other Fraction stays a Fraction.  Sums and polynomials store
     integers as ints and build a Fraction only where a division happens or
     a caller reads a coefficient.  Anything else, a float included, raises
     TypeError."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
         return int(value)
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")

@@ -30,7 +30,7 @@ from .graphs import (
     subset_positions,
     undirected_edge_types,
 )
-from .poly import MultiPoly, Q, V, X, Y
+from .poly import MultiPoly, Q, V, X, Y, _exact
 
 
 def _subset_counts(u: UndirectedGraph, cap: int | None) -> dict[tuple[int, int], int]:
@@ -59,13 +59,9 @@ def potts_value(u: UndirectedGraph, q0, v0, cap: int | None = None) -> Fraction:
 
 def _potts_sum(counts: dict, q0, v0):
     """The partition function at (q0, v0) from a ``_subset_counts`` table.
-    q0 and v0 must be ints or Fractions; the sum runs in the type given, so
-    it is an int at integer points."""
-    for x in (q0, v0):
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(
-                f"Potts values must be exact rationals, got {type(x).__name__}"
-            )
+    q0 and v0 must be ints or Fractions; ``_exact`` makes an integral
+    Fraction an int, so the sum is an int at integer points."""
+    q0, v0 = _exact(q0), _exact(v0)
     return sum(c * q0 ** b0 * v0 ** size for (b0, size), c in counts.items())
 
 
@@ -101,8 +97,16 @@ def _tutte(n: int, edges: tuple) -> MultiPoly:
 def count_orientations(u: UndirectedGraph, cls: str, cap: int | None = None) -> int:
     """Number of orientations of u that are strongly semiconnected ("SSC")
     or acyclic ("AC"), by brute enumeration."""
-    _, member = _class_test(cls)
-    return sum(member(classify(g)) is not None for g in orientations(u, cap=cap))
+    cls, _ = _class_test(cls)
+    ssc, ac = _orientation_counts(u, cap)
+    return ssc if cls == "SSC" else ac
+
+
+def _orientation_counts(u: UndirectedGraph, cap: int | None) -> tuple[int, int]:
+    """How many orientations of u are strongly semiconnected and how many
+    acyclic, classifying each orientation once."""
+    cs = [classify(g) for g in orientations(u, cap=cap)]
+    return sum(c.strongly_semiconnected for c in cs), sum(c.acyclic for c in cs)
 
 
 def universal_potts(

@@ -1,7 +1,7 @@
 """Formal sums, the concatenation product, and the determinant elements."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -32,6 +32,7 @@ from graphdet import (
 )
 from graphdet import algebra, graphs
 from graphdet.algebra import class_sum, distinct_permutations
+from graphdet.graphs import directed_edge_types
 
 D = DirectedGraph
 half = Fraction(1, 2)
@@ -199,6 +200,10 @@ def test_distinct_permutations():
     items = ((1, 2), (1, 2), (2, 1))
     perms = list(distinct_permutations(items))
     assert len(perms) == 3 and len(set(perms)) == 3
+    # Lexicographic order, for every multiset of up to five edges on two vertices.
+    for k in range(6):
+        for m in combinations_with_replacement(directed_edge_types(2), k):
+            assert list(distinct_permutations(m)) == sorted(set(permutations(m)))
 
 
 def test_class_sum_matches_stream_filter():

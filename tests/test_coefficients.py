@@ -5,6 +5,7 @@ only where a division happens; every accessor still hands out Fractions.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -13,15 +14,18 @@ from graphdet import (
     FormalSum,
     MultiPoly,
     SymmetricSum,
+    UndirectedGraph,
     WeightMatrix,
     b_op,
     laplace,
     pairing,
+    parse_formal_sum,
     u_sum,
     w,
     x_sum,
 )
 from graphdet.algebra import class_sum
+from graphdet.graphs import directed_edge_types, undirected_edge_types
 from graphdet.poly import Q, V
 
 D = DirectedGraph
@@ -121,7 +125,7 @@ def test_symmetric_laplace_with_int_coefficients_is_exact():
     })
     assert _stored(s) == {int}
     image, numbered = laplace(s), laplace(s.expand())
-    assert _stored(image) <= {int, Fraction}
+    assert _stored(image) == {int}
     assert image == numbered
     assert image.terms() == numbered.terms()
     assert all(_is_fraction(c) and c.denominator == 1 for _, c in image.terms())
@@ -129,3 +133,39 @@ def test_symmetric_laplace_with_int_coefficients_is_exact():
     # multiset, each resolving both loops to (1,2) with sign +1.
     assert image.coeff(D(3, ((1, 2), (1, 2), (1, 2)))) == 3
     assert image.coeff(D(3, ((1, 2), (2, 3), (3, 1)))) == 5
+
+
+@pytest.mark.parametrize("kind, edge_types", [
+    (DirectedGraph, directed_edge_types),
+    (UndirectedGraph, undirected_edge_types),
+], ids=["directed", "undirected"])
+def test_symmetric_laplace_ratio_is_an_exact_integer(kind, edge_types):
+    # Each multiset alone, with coefficient 1: the multiplicity ratio the
+    # image takes with // must give the numbered image's integers.
+    for n in (1, 2, 3):
+        for k in range(6):
+            for multiset in combinations_with_replacement(edge_types(n), k):
+                s = SymmetricSum(n, k, {multiset: 1}, kind)
+                image = laplace(s)
+                assert image == laplace(s.expand()), multiset
+                assert _stored(image) <= {int}, multiset
+
+
+def test_integral_fractions_are_stored_as_ints():
+    g = D(2, ((1, 2),))
+    key = ((1, 1), (1, 2))
+    built = [
+        FormalSum.single(g, Fraction(3)),
+        SymmetricSum(2, 2, {key: Fraction(-2)}),
+        FormalSum.single(g).scale(Fraction(4, 2)),
+        SymmetricSum(2, 2, {key: 1}).scale(Fraction(4, 2)),
+        parse_formal_sum("FS 2 1\n3/1 | 1 2\n"),
+    ]
+    for s in built:
+        assert _stored(s) == {int}
+        assert all(_is_fraction(c) for _, c in s.terms())
+    assert [s.terms()[0][1] for s in built] == [3, -2, 2, 2, 3]
+    p = MultiPoly.const(Fraction(6, 3))
+    assert _stored(p) == {int}
+    assert _is_fraction(p.constant_value()) and p.constant_value() == 2
+    assert _stored(FormalSum.single(g, Fraction(1, 2))) == {Fraction}

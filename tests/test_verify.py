@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphdet.potts as potts_module
 from graphdet import verify
 from graphdet.algebra import class_sum, universal_codim1, universal_det
 from graphdet.graphs import CapExceeded, directed_edge_types, undirected_edge_types
@@ -152,6 +153,16 @@ def test_specval_counts_subsets_once_per_graph(monkeypatch):
     )
     assert verify_specval(3, 4).ok
     assert len(calls) == 126 + (126 - 15)
+
+
+def test_specval_classifies_each_orientation_once(monkeypatch):
+    # both orientation counts come from one pass: the 126 multisets at
+    # (3, 4) have 699 orientations in all, each classified once
+    real = potts_module.classify
+    calls = []
+    monkeypatch.setattr(potts_module, "classify", lambda g: calls.append(g) or real(g))
+    assert verify_specval(3, 4).ok
+    assert len(calls) == 699
 
 
 def test_lapl_tutte_lists_every_looped_graph_in_order(monkeypatch):
