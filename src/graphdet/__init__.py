@@ -27,6 +27,7 @@ from .algebra import (
     concat_product,
     forget_sum,
     format_formal_sum,
+    pairing,
     parse_formal_sum,
     sigma,
     sum_over_subgraphs,
@@ -44,7 +45,6 @@ from .poly import (
     determinant,
     laplace_matrix,
     minor,
-    pairing,
     w,
 )
 from .potts import count_orientations, shave, tutte, universal_potts

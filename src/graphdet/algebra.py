@@ -19,7 +19,8 @@ of a generic matrix, and the mixed-degree element whose Laplace image counts
 acyclic graphs.  Membership in every class used here is invariant under
 renumbering the edges, so these sums are built as SymmetricSums: one
 coefficient per sorted edge multiset, standing for every distinct ordering
-of it.  ``laplace`` and ``pairing`` work on the multisets directly.  A
+of it.  ``laplace`` and ``pairing``, the product of a weight matrix's
+entries along each graph's edges, work on the multisets directly.  A
 SymmetricSum is expanded into the FormalSum over its numberings only where
 edge order matters: ``concat_product``, ``b_op``, ``map_graphs`` and
 ``forget_sum``, text output, ``terms()``/``support()``, and comparison or
@@ -36,6 +37,7 @@ from typing import Callable, Iterable, Iterator
 
 from .graphs import (
     DirectedGraph,
+    GraphClassification,
     GraphFormatError,
     UndirectedGraph,
     _class_test,
@@ -51,7 +53,7 @@ from .graphs import (
     forget,
     subgraphs,
 )
-from .poly import _accumulate, _exact
+from .poly import MultiPoly, _accumulate, _exact
 
 
 class _LinearSum:
@@ -364,6 +366,29 @@ def concat_product(s1, s2) -> FormalSum:
     return FormalSum._wrap(s1.n, s1.k + s2.k, terms, s1.kind)
 
 
+def pairing(m, s):
+    """The MultiPoly product of the entries of the WeightMatrix m along each
+    graph's edges, extended linearly.  The product does not depend on the
+    edge numbering, so each key's coefficient, times the numbered graphs it
+    stands for, is added under its sorted edge tuple; nothing is expanded."""
+    if not isinstance(s, _LinearSum):
+        raise TypeError("pairing expects a FormalSum or SymmetricSum")
+    if s.n != m.n:
+        raise ValueError(f"dimension mismatch: matrix {m.n}, sum over n={s.n}")
+    if s.kind is not DirectedGraph:
+        raise TypeError("pairing is defined for directed sums")
+    grouped = _accumulate({}, (
+        (tuple(sorted(key)), c * s._count((key,))) for key, c in s._terms.items()
+    ))
+    total: dict = {}
+    for ms, c in grouped.items():
+        prod = MultiPoly.const(c)
+        for a, b in ms:
+            prod = prod * m.entry(a, b)
+        _accumulate(total, prod._terms.items())
+    return MultiPoly._wrap(total)
+
+
 class GradedElement:
     """A finite sum of homogeneous components of different degrees.
 
@@ -456,13 +481,21 @@ def _stream_sum(graphs, n, k, kind, signed: bool) -> FormalSum:
 
 def alpha(g: DirectedGraph) -> int:
     """(-1)^k on acyclic graphs, 0 otherwise."""
-    return (-1) ** g.k if classify(g).acyclic else 0
+    return _alpha_sigma(classify(g), g.k)[0]
 
 
 def sigma(g: DirectedGraph) -> int:
     """(-1)^beta1 on strongly semiconnected graphs, 0 otherwise."""
-    c = classify(g)
-    return (-1) ** c.beta1 if c.strongly_semiconnected else 0
+    return _alpha_sigma(classify(g), g.k)[1]
+
+
+def _alpha_sigma(c: GraphClassification, k: int) -> tuple[int, int]:
+    """The acyclicity sign alpha and the semiconnectivity sign sigma of a
+    graph with k edges and classification c."""
+    return (
+        (-1) ** k if c.acyclic else 0,
+        (-1) ** c.beta1 if c.strongly_semiconnected else 0,
+    )
 
 
 def sum_over_subgraphs(f: Callable, g: DirectedGraph, cap: int | None = None):
@@ -499,25 +532,18 @@ def distinct_permutations(items: tuple) -> Iterator[tuple]:
 @lru_cache(maxsize=None)
 def _class_walk(n: int, k: int) -> dict:
     """Every k-edge multiset, classified once and filed with its sign
-    (-1)^beta0 under ("SSC", isolated set) if strongly semiconnected and
-    under ("AC", sink set) if acyclic."""
+    (-1)^beta0 under (class, vertex set) for each class whose test it
+    passes: ("SSC", isolated set) and ("AC", sink set)."""
+    tests = [_class_test(cls) for cls in ("SSC", "AC")]
     buckets: dict = {}
     for multiset in itertools.combinations_with_replacement(directed_edge_types(n), k):
         c = _classify(n, multiset)
         sign = -1 if c.beta0 % 2 else 1
-        if c.strongly_semiconnected:
-            buckets.setdefault(("SSC", c.isolated), {})[multiset] = sign
-        if c.acyclic:
-            buckets.setdefault(("AC", c.sinks), {})[multiset] = sign
+        for cls, member in tests:
+            vs = member(c)
+            if vs is not None:
+                buckets.setdefault((cls, vs), {})[multiset] = sign
     return buckets
-
-
-def _walk(n: int, k: int, cap: int | None) -> dict:
-    """The buckets of the walk at (n, k), once its C(n^2+k-1, k) multisets
-    are within the cap."""
-    check_shape(n, k)
-    check_cap(comb(n * n + k - 1, k), cap)
-    return _class_walk(n, k)
 
 
 def class_sum(
@@ -528,10 +554,14 @@ def class_sum(
     signed: bool = False,
     cap: int | None = None,
 ) -> SymmetricSum:
-    """U- or X-style sum over a semiconnectivity/acyclicity class."""
+    """U- or X-style sum over a semiconnectivity/acyclicity class, read
+    from the walk at (n, k) once its C(n^2+k-1, k) multisets are within
+    the cap."""
     cls, _ = _class_test(cls)
     key = None if I is None else (cls, _vertex_set(n, I))
-    buckets = _walk(n, k, cap)
+    check_shape(n, k)
+    check_cap(comb(n * n + k - 1, k), cap)
+    buckets = _class_walk(n, k)
     keys = [b for b in buckets if b[0] == cls] if key is None else [key]
     signs = {m: c for b in keys for m, c in buckets.get(b, {}).items()}
     terms = signs if signed else dict.fromkeys(signs, 1)
@@ -550,8 +580,8 @@ def universal_det(
     check_shape(n, k)
     if k < n - len(iso):
         return SymmetricSum.zero(n, k)
-    signs = _walk(n, k, cap).get(("SSC", iso), {})
-    return Fraction((-1) ** k, factorial(k)) * SymmetricSum._wrap(n, k, signs)
+    ssc = class_sum(n, k, "SSC", iso, signed=True, cap=cap)
+    return Fraction((-1) ** k, factorial(k)) * ssc
 
 
 def universal_codim1(
@@ -566,7 +596,7 @@ def universal_codim1(
         raise ValueError("vertex out of range")
     check_shape(n, k)
     terms = {}
-    for big, c in _walk(n, k + 1, cap).get(("SSC", frozenset()), {}).items():
+    for big, c in class_sum(n, k + 1, "SSC", (), signed=True, cap=cap)._terms.items():
         if (i, j) in big:
             at = big.index((i, j))
             terms[big[:at] + big[at + 1:]] = c

@@ -12,9 +12,11 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .algebra import (
     format_formal_sum,
+    pairing,
     parse_formal_sum,
     theta,
     universal_codim1,
@@ -32,7 +34,7 @@ from .graphs import (
     parse_graph,
 )
 from .laplace import laplace
-from .poly import Q, V, WeightMatrix, pairing
+from .poly import Q, V, MultiPoly, w
 from .potts import potts, tutte
 from .verify import (
     CHECK_FUNCTIONS,
@@ -165,8 +167,10 @@ def cmd_pair(args) -> int:
     s = parse_formal_sum(_read_text(args.input))
     if s.kind is UndirectedGraph:
         raise SystemExit2("pairing is defined for directed sums (header 'FS')")
-    W = WeightMatrix.symbolic(s.n)
-    print(pairing(W, s))
+    # pairing reads the size and the entries on the sum's edges, so the
+    # generic matrix builds entry (i, j) = w[i,j] only when asked for it.
+    generic = SimpleNamespace(n=s.n, entry=lambda i, j: MultiPoly.variable(w(i, j)))
+    print(pairing(generic, s))
     return 0
 
 

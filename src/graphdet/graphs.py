@@ -285,12 +285,9 @@ def _classify(n: int, sorted_edges: tuple[Edge, ...]) -> GraphClassification:
     b0 = len(comps)
     full = ((1 << (n + 1)) - 2)  # bits 1..n
     strongly_connected = all(reach[v] == full for v in range(1, n + 1))
-    strongly_semiconnected = all(
-        reach[v] == comp
-        for comp in comps
-        for v in range(1, n + 1)
-        if comp >> v & 1
-    )
+    # Each vertex reaches its whole component: reach[v] holds v and lies in
+    # v's component, so it is that component iff it is a component at all.
+    strongly_semiconnected = set(reach[1:]) <= set(comps)
     acyclic = all(not (reach[b] >> a & 1) for a, b in sorted_edges)
     sinks = frozenset(v for v in range(1, n + 1) if outdeg[v] == 0)
     isolated = frozenset(v for v in range(1, n + 1) if not incident[v])

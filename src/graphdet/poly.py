@@ -317,36 +317,6 @@ def laplace_matrix(m: WeightMatrix) -> WeightMatrix:
     return WeightMatrix(m.n, tuple(rows))
 
 
-def pairing(m: WeightMatrix, s) -> MultiPoly:
-    """Product of matrix entries along each graph's edges, extended linearly.
-
-    The product does not depend on the edge numbering, so the work is done
-    once per edge multiset: a SymmetricSum is paired as it stands, each
-    multiset M weighted by its k!/m(M) numberings, and a FormalSum first
-    adds up its coefficients per sorted edge tuple.  Nothing is expanded.
-    """
-    from .algebra import FormalSum, SymmetricSum, orderings
-    from .graphs import DirectedGraph
-
-    if not isinstance(s, (FormalSum, SymmetricSum)):
-        raise TypeError("pairing expects a FormalSum or SymmetricSum")
-    if s.n != m.n:
-        raise ValueError(f"dimension mismatch: matrix {m.n}, sum over n={s.n}")
-    if s.kind is not DirectedGraph:
-        raise TypeError("pairing is defined for directed sums")
-    if isinstance(s, SymmetricSum):
-        grouped = {ms: c * orderings(ms) for ms, c in s._terms.items()}
-    else:
-        grouped = _accumulate({}, ((tuple(sorted(seq)), c) for seq, c in s._terms.items()))
-    total: dict = {}
-    for ms, c in grouped.items():
-        prod = MultiPoly.const(c)
-        for a, b in ms:
-            prod = prod * m.entry(a, b)
-        _accumulate(total, prod._terms.items())
-    return MultiPoly._wrap(total)
-
-
 def determinant(m: WeightMatrix) -> MultiPoly:
     """Exact determinant by cofactor expansion along the first row."""
     return _det(m.entries)

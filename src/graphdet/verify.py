@@ -15,7 +15,7 @@ payload field except the elapsed time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -24,15 +24,18 @@ from math import factorial
 from .algebra import (
     FormalSum,
     SymmetricSum,
+    _alpha_sigma,
     _theta_low,
     class_sum,
     concat_product,
     distinct_permutations,
+    pairing,
     theta,
     universal_codim1,
     universal_det,
 )
 from .graphs import (
+    CapExceeded,
     DirectedGraph,
     UndirectedGraph,
     _beta0,
@@ -45,7 +48,7 @@ from .graphs import (
     undirected_edge_types,
 )
 from .laplace import b_op, laplace
-from .poly import MultiPoly, WeightMatrix, laplace_matrix, minor, pairing, w
+from .poly import MultiPoly, WeightMatrix, laplace_matrix, minor, w
 from .potts import _orientation_counts, _potts_sum, _subset_counts, shave, universal_potts
 
 EXPECTED_SIGNS = {"expansion": -1, "derivative": -1}
@@ -79,15 +82,8 @@ class VerificationReport:
         return self.status != "skipped" and self.total_cases == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "status": self.status,
-            "sign": self.sign,
-            "total_cases": self.total_cases,
-            "failures": self.failures,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        """Every field but the notes, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "notes"}
 
     def human(self, max_failures: int = 20) -> str:
         ptxt = " ".join(f"{k}={v}" for k, v in self.params.items())
@@ -189,15 +185,14 @@ def _matrices(n: int) -> tuple[WeightMatrix, WeightMatrix]:
     return W, laplace_matrix(W)
 
 
-def _subset_signs(n: int, k: int, edges: tuple) -> tuple[list[int], list[int]]:
+def _subset_signs(n: int, k: int, edges: tuple) -> tuple[tuple, tuple]:
     """The acyclicity sign alpha and the semiconnectivity sign sigma of the
     subgraph each of the 2^k position subsets keeps, in bit-mask order; the
     last entry is the whole graph."""
-    alpha, sigma = [], []
-    for pos in subset_positions(k):
-        c = _classify_key(n, tuple(sorted(edges[p] for p in pos)))
-        alpha.append((-1) ** len(pos) if c.acyclic else 0)
-        sigma.append((-1) ** c.beta1 if c.strongly_semiconnected else 0)
+    alpha, sigma = zip(*(
+        _alpha_sigma(_classify_key(n, tuple(sorted(edges[p] for p in pos))), len(pos))
+        for pos in subset_positions(k)
+    ))
     return alpha, sigma
 
 
@@ -240,40 +235,48 @@ def verify_mobius_equiv(n: int, k: int, cap=None) -> VerificationReport:
     return _enumerate("mobius", _mobius_case, n, k, 2 ** k, cap)
 
 
+def _acyclic_image(n: int, k: int, I, cap) -> SymmetricSum:
+    """The theorem's right side: (-1)^n / k! times the plain sum of the
+    acyclic graphs with sink set I, the Laplace image of a minor element."""
+    return Fraction((-1) ** n, factorial(k)) * class_sum(n, k, "AC", I, cap=cap)
+
+
+def _image_report(check, params, element, I, cap, t0) -> VerificationReport:
+    """Laplace image of a minor element against the acyclic graphs with
+    sink set I, as exact formal sums."""
+    lhs = laplace(element)
+    failures, total = _sum_diff(lhs, _acyclic_image(element.n, element.k, I, cap))
+    return _report(check, params, failures, total, t0)
+
+
 def verify_diag(n: int, k: int, I=(), cap=None) -> VerificationReport:
     """Laplace image of the diagonal minor element against the plain sum of
-    acyclic graphs with sink set I, as exact formal sums."""
+    acyclic graphs with sink set I."""
     t0 = time.perf_counter()
     iso = frozenset(I)
-    lhs = laplace(universal_det(n, k, iso, cap=cap))
-    rhs = Fraction((-1) ** n, factorial(k)) * class_sum(n, k, "AC", iso, cap=cap)
-    failures, total = _sum_diff(lhs, rhs)
-    return _report("diag", {"n": n, "k": k, "I": sorted(iso)}, failures, total, t0)
+    element = universal_det(n, k, iso, cap=cap)
+    return _image_report("diag", {"n": n, "k": k, "I": sorted(iso)}, element, iso, cap, t0)
 
 
 def verify_codim1(n: int, k: int, i: int, j: int, cap=None) -> VerificationReport:
     """Laplace image of the (i,j)-minor element against the acyclic graphs
     whose only sink is i."""
     t0 = time.perf_counter()
-    lhs = laplace(universal_codim1(n, k, i, j, cap=cap))
-    rhs = Fraction((-1) ** n, factorial(k)) * class_sum(n, k, "AC", (i,), cap=cap)
-    failures, total = _sum_diff(lhs, rhs)
-    return _report("codim1", {"n": n, "k": k, "i": i, "j": j}, failures, total, t0)
+    element = universal_codim1(n, k, i, j, cap=cap)
+    return _image_report("codim1", {"n": n, "k": k, "i": i, "j": j}, element, (i,), cap, t0)
 
 
-def _probe_sign(lhs, rhs_of_sign) -> tuple[str, int | None, bool]:
-    """Find s in {+1,-1} with lhs == rhs(s).  Returns (status, sign, literal)
-    where literal records the s=+1 outcome; both signs matching means both
-    sides vanish and any s is compatible (sign None)."""
+def _probe_sign(lhs, rhs_of_sign) -> dict:
+    """Find s in {+1,-1} with lhs == rhs(s): the status, sign and notes of
+    the report, the note recording the s=+1 outcome.  Both signs matching
+    means both sides vanish and any s is compatible (sign None)."""
     plus = lhs == rhs_of_sign(1)
     minus = lhs == rhs_of_sign(-1)
-    if plus and minus:
-        return "pass_with_sign", None, True
-    if minus:
-        return "pass_with_sign", -1, False
-    if plus:
-        return "pass_with_sign", 1, True
-    return "fail", None, False
+    return {
+        "status": "pass_with_sign" if plus or minus else "fail",
+        "sign": None if plus == minus else 1 if plus else -1,
+        "notes": (f"literal (+1) phrasing holds: {plus}",),
+    }
 
 
 def verify_expansion(n: int, k: int, cap=None) -> VerificationReport:
@@ -292,15 +295,11 @@ def verify_expansion(n: int, k: int, cap=None) -> VerificationReport:
                 edge, universal_codim1(n, k - 1, i, j, cap=cap).expand(cap)
             )
     rhs_base = Fraction(1, k) * total_sum
-    status, sign, literal = _probe_sign(lhs, lambda s: s * rhs_base)
+    probe = _probe_sign(lhs, lambda s: s * rhs_base)
     failures, total = _sum_diff(lhs, -rhs_base)
-    if status != "fail":
+    if probe["status"] != "fail":
         failures = []
-    notes = (f"literal (+1) phrasing holds: {literal}",)
-    return _report(
-        "expansion", {"n": n, "k": k}, failures, total, t0,
-        sign=sign, notes=notes, status=status,
-    )
+    return _report("expansion", {"n": n, "k": k}, failures, total, t0, **probe)
 
 
 def verify_derivative(n: int, k: int, i: int, m: int, cap=None) -> VerificationReport:
@@ -315,16 +314,27 @@ def verify_derivative(n: int, k: int, i: int, m: int, cap=None) -> VerificationR
     bracket = pairing(
         W, universal_det(n, k - m, (), cap=cap) + universal_det(n, k - m, (i,), cap=cap)
     )
-    status, sign, literal = _probe_sign(lhs, lambda s: s ** m * bracket)
+    probe = _probe_sign(lhs, lambda s: s ** m * bracket)
     failures = []
-    if status == "fail":
+    if probe["status"] == "fail":
         failures = [_poly_failure((-1) ** m * bracket, lhs)]
-    notes = (f"literal (+1) phrasing holds: {literal}",)
     total = len(lhs.terms()) + len(bracket.terms())
-    return _report(
-        "derivative", {"n": n, "k": k, "i": i, "m": m}, failures, total, t0,
-        sign=sign, notes=notes, status=status,
-    )
+    params = {"n": n, "k": k, "i": i, "m": m}
+    return _report("derivative", params, failures, total, t0, **probe)
+
+
+def _minor_cases(n: int, cap):
+    """(label, element, rows, cols, sign) for every diagonal I-minor and
+    every (i,j) minor: the pairing law says pairing(W, element) equals sign
+    times the minor of W without those rows and columns."""
+    for size in range(n + 1):
+        for I in combinations(range(1, n + 1), size):
+            yield (f"I={sorted(I)}", universal_det(n, n - size, I, cap=cap),
+                   I, I, (-1) ** size)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            yield (f"i/j={i}/{j}", universal_codim1(n, n - 1, i, j, cap=cap),
+                   {i}, {j}, (-1) ** (i + j + 1))
 
 
 def verify_minor_pairing(n: int, cap=None) -> VerificationReport:
@@ -336,26 +346,15 @@ def verify_minor_pairing(n: int, cap=None) -> VerificationReport:
     failures = []
     literal_all = True
     cases = 0
-    for size in range(n + 1):
-        for I in combinations(range(1, n + 1), size):
-            cases += 1
-            lhs = pairing(W, universal_det(n, n - size, I, cap=cap))
-            mnr = minor(W, I, I)
-            rhs = (-1) ** size * mnr
-            if lhs != rhs:
-                failures.append(_poly_failure(rhs, lhs, label=f"I={sorted(I)}"))
-            if lhs != mnr:
-                literal_all = False
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cases += 1
-            lhs = pairing(W, universal_codim1(n, n - 1, i, j, cap=cap))
-            mnr = minor(W, {i}, {j})
-            rhs = (-1) ** (i + j + 1) * mnr
-            if lhs != rhs:
-                failures.append(_poly_failure(rhs, lhs, label=f"i/j={i}/{j}"))
-            if lhs != mnr:
-                literal_all = False
+    for label, element, rows, cols, sign in _minor_cases(n, cap):
+        cases += 1
+        lhs = pairing(W, element)
+        mnr = minor(W, rows, cols)
+        rhs = sign * mnr
+        if lhs != rhs:
+            failures.append(_poly_failure(rhs, lhs, label=label))
+        if lhs != mnr:
+            literal_all = False
     notes = (f"literal unsigned phrasing holds in every case: {literal_all}",)
     return _report("minor_pairing", {"n": n}, failures, cases, t0, notes=notes)
 
@@ -480,13 +479,10 @@ def verify_lapl_tutte(n: int, k: int, cap=None) -> VerificationReport:
     rhs = (-1) ** k * universal_potts(n, k, -1, -1, shaved=False, cap=cap)
     failures, _ = _sum_diff(lhs, rhs)
     for side in (lhs, rhs):
-        looped = sorted(
-            (seq, c)
-            for multiset, c in side._terms.items()
-            if any(a == b for a, b in multiset)
-            for seq in distinct_permutations(multiset)
-        )
-        failures.extend(_failure(seq, 0, c) for seq, c in looped)
+        looped = side._like({
+            key: c for key, c in side._terms.items() if any(a == b for a, b in key)
+        }, side.kind)
+        failures.extend(_sum_diff(looped, looped.scale(0))[0])
     total = (n * (n + 1) // 2) ** k
     return _report("lapl_tutte", {"n": n, "k": k}, failures, total, t0)
 
@@ -522,9 +518,7 @@ def verify_theta(n: int, cap=None) -> VerificationReport:
 
     # Derived identity actually satisfied by the Laplace image: theta's low
     # part with each diagonal minor element replaced by its Laplace image.
-    derived = _theta_low(
-        n, lambda k, I: Fraction((-1) ** n, factorial(k)) * class_sum(n, k, "AC", I, cap=cap)
-    )
+    derived = _theta_low(n, lambda k, I: _acyclic_image(n, k, I, cap))
     notes.append(f"derived componentwise image holds: {lo == derived}")
 
     # Pairing consequence with the symbolic zero-row-sum matrix.
@@ -689,8 +683,6 @@ def run_check(name: str, params: dict, cap=None, jobs: int = 1) -> VerificationR
 def run_suite(config: SuiteConfig) -> list[VerificationReport]:
     """Run every grid cell; cells whose enumeration exceeds the cap are
     reported as skipped rather than failed."""
-    from .graphs import CapExceeded
-
     reports = []
     for name, params in suite_cells(config):
         try:

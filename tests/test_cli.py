@@ -125,6 +125,25 @@ def test_pair(tmp_path, capsys):
     assert code == 0 and out.strip() == "1/1 * w[2,2]"
 
 
+def test_pair_builds_only_the_entries_on_the_edges(tmp_path, capsys, monkeypatch):
+    # the output is that of the full symbolic matrix, which is never built
+    text = "FS 300 2\n1/2 | 1 300 ; 7 7\n-3/1 | 7 7 ; 300 1\n"
+    want = str(graphdet.pairing(graphdet.WeightMatrix.symbolic(300), parse_formal_sum(text)))
+    src = tmp_path / "s.fs"
+    src.write_text(text)
+
+    def not_built(n):
+        raise AssertionError("the symbolic matrix was built")
+
+    asked = []
+    real_w = graphdet.cli.w
+    monkeypatch.setattr(graphdet.WeightMatrix, "symbolic", not_built)
+    monkeypatch.setattr(graphdet.cli, "w", lambda i, j: asked.append((i, j)) or real_w(i, j))
+    code, out, _ = run(capsys, "pair", str(src))
+    assert code == 0 and out == want + "\n"
+    assert set(asked) == {(1, 300), (7, 7), (300, 1)}
+
+
 def test_pair_rejects_undirected(tmp_path, capsys):
     src = tmp_path / "s.fs"
     src.write_text("FSU 2 1\n1/1 | 1 2\n")

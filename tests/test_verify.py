@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import graphdet.potts as potts_module
 from graphdet import verify
-from graphdet.algebra import class_sum, universal_codim1, universal_det
+from graphdet.algebra import SymmetricSum, class_sum, universal_codim1, universal_det
 from graphdet.graphs import CapExceeded, directed_edge_types, undirected_edge_types
 from graphdet.potts import universal_potts
 from graphdet.verify import (
@@ -349,6 +349,122 @@ def test_operator_laws_call_b_op_on_every_sequence_and_position(monkeypatch):
         calls.clear()
         assert verify_operator_laws(n, k).ok
         assert len(calls) == want == n ** (2 * k) * k * (k + 1)
+
+
+# ---------------------------------------------------------------------------
+# Failure branches: each fault is injected by patching one name in verify.
+
+
+def _has_loop(s):
+    return any(a == b for key in s._terms for a, b in key)
+
+
+def test_minor_pairing_reports_both_kinds_of_case(monkeypatch):
+    pairing = verify.pairing
+    monkeypatch.setattr(verify, "pairing", lambda m, s: -pairing(m, s))
+    r = verify_minor_pairing(1)
+    assert (r.status, r.total_cases) == ("fail", 3)
+    assert r.failures == [
+        {"graph": [], "expected": "I=[]: 1/1 * w[1,1]", "actual": "-1/1 * w[1,1]"},
+        {"graph": [], "expected": "I=[1]: -1/1", "actual": "1/1"},
+        {"graph": [], "expected": "i/j=1/1: -1/1", "actual": "1/1"},
+    ]
+    assert r.notes == ("literal unsigned phrasing holds in every case: False",)
+
+
+def test_kirchhoff_diag_reports_law_oracle_and_count(monkeypatch):
+    # one extra graph, a loop, among the trees directed to vertex 1
+    class_sum = verify.class_sum
+    extra = SymmetricSum(2, 1, {((2, 2),): 1})
+    monkeypatch.setattr(verify, "class_sum", lambda *a, **kw: class_sum(*a, **kw) + extra)
+    r = verify_kirchhoff_diag(2, (1,))
+    assert (r.status, r.total_cases) == ("fail", 3)
+    assert r.failures == [
+        {"graph": [], "expected": "minor-law: -1/1 * w[2,1] + -1/1 * w[2,2]",
+         "actual": "-1/1 * w[2,1]"},
+        {"graph": [], "expected": "forest-oracle: 1/1 * w[2,1]",
+         "actual": "1/1 * w[2,1] + 1/1 * w[2,2]"},
+        {"graph": [], "expected": "1/1", "actual": "2/1"},
+    ]
+    assert r.notes == ("tree count 2 vs Cayley 1",)
+
+
+def test_kirchhoff_codim1_reports_the_minor(monkeypatch):
+    forests = verify.rooted_forest_poly
+    monkeypatch.setattr(verify, "rooted_forest_poly", lambda n, roots: -forests(n, roots))
+    r = verify_kirchhoff_codim1(2, 1, 2)
+    assert (r.status, r.total_cases) == ("fail", 1)
+    assert r.failures == [
+        {"graph": [], "expected": "-1/1 * w[2,1]", "actual": "1/1 * w[2,1]"},
+    ]
+
+
+def test_derivative_reports_a_sign_probe_that_fails(monkeypatch):
+    # doubling the element with I = {i} breaks the law for both signs
+    universal_det = verify.universal_det
+
+    def doubled(n, k, I=(), cap=None):
+        out = universal_det(n, k, I, cap=cap)
+        return 2 * out if I else out
+
+    monkeypatch.setattr(verify, "universal_det", doubled)
+    r = verify_derivative(1, 1, 1, 1)
+    assert (r.status, r.sign, r.total_cases) == ("fail", None, 2)
+    assert r.failures == [{"graph": [], "expected": "2/1", "actual": "1/1"}]
+    assert r.notes == ("literal (+1) phrasing holds: False",)
+
+
+@pytest.mark.parametrize("factor, status, sign, failures, literal", [
+    (-1, "pass_with_sign", 1, [], True),
+    (2, "fail", None, [{"graph": [[1, 1]], "expected": "2/1", "actual": "1/1"}], False),
+])
+def test_expansion_probe_outcomes(monkeypatch, factor, status, sign, failures, literal):
+    # a negated minor element makes the literal +1 phrasing hold; a doubled
+    # one matches neither sign, and the failures compare with the -1 side
+    universal_codim1 = verify.universal_codim1
+    monkeypatch.setattr(
+        verify, "universal_codim1", lambda *a, **kw: factor * universal_codim1(*a, **kw)
+    )
+    r = verify_expansion(1, 1)
+    assert (r.status, r.sign, r.total_cases, r.failures) == (status, sign, 1, failures)
+    assert r.notes == (f"literal (+1) phrasing holds: {literal}",)
+    assert not r.ok
+
+
+def test_theta_reports_a_nonzero_top_part(monkeypatch):
+    # with the top part left unresolved, every graph of it is a failure
+    laplace = verify.laplace
+    monkeypatch.setattr(verify, "laplace", lambda s: s if s.k == 3 else laplace(s))
+    r = verify_theta(2)
+    top = universal_det(2, 3)
+    assert top
+    assert r.status == "fail"
+    assert r.failures == [_failure(g.edges, 0, c) for g, c in top.terms()]
+    assert r.notes == (
+        "top-degree part vanishes: False",
+        "derived componentwise image holds: True",
+        "diagonal minor-sum pairing law holds: True",
+    )
+
+
+@pytest.mark.parametrize("name, law", [
+    ("laplace", "laplace-idempotent"), ("pairing", "pairing"),
+])
+def test_operator_laws_report_the_numbering_free_laws(monkeypatch, name, law):
+    # each fault adds to, or doubles, what the operator gives on a sum with
+    # a loop, so only the two looped graphs at (2, 1) break a law
+    real = getattr(verify, name)
+    faults = {
+        "laplace": lambda s: real(s) + s if _has_loop(s) else real(s),
+        "pairing": lambda m, s: 2 * real(m, s) if _has_loop(s) else real(m, s),
+    }
+    monkeypatch.setattr(verify, name, faults[name])
+    r = verify_operator_laws(2, 1)
+    assert (r.status, r.total_cases) == ("fail", 4)
+    assert r.failures == [
+        {"graph": [[v, v]], "expected": f"law:{law}", "actual": "violated"}
+        for v in (1, 2)
+    ]
 
 
 @st.composite
