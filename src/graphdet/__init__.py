@@ -16,21 +16,16 @@ from .graphs import (
     format_graph,
     orientations,
     parse_graph,
-    reachable,
-    subgraphs,
 )
 from .algebra import (
     FormalSum,
     GradedElement,
     SymmetricSum,
-    alpha,
     concat_product,
     forget_sum,
     format_formal_sum,
     pairing,
     parse_formal_sum,
-    sigma,
-    sum_over_subgraphs,
     theta,
     u_sum,
     universal_codim1,

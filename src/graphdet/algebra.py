@@ -48,10 +48,8 @@ from .graphs import (
     beta0,
     check_cap,
     check_shape,
-    classify,
     directed_edge_types,
     forget,
-    subgraphs,
 )
 from .poly import MultiPoly, _accumulate, _exact
 
@@ -390,62 +388,34 @@ def pairing(m, s):
 
 
 class GradedElement:
-    """A finite sum of homogeneous components of different degrees.
+    """A finite sum of directed homogeneous components of different degrees.
 
-    All components share one graph kind.  It is taken from the components
-    when not given, defaults to directed, and is the kind of the zero that
-    ``part`` returns for a missing degree."""
+    ``parts`` maps each degree to its nonzero component, and ``part`` gives
+    a directed zero for a missing degree.  A component whose n or k
+    disagrees with its key, or an undirected one, is refused."""
 
-    __slots__ = ("n", "kind", "parts")
+    __slots__ = ("n", "parts")
 
-    def __init__(self, n: int, parts: dict[int, FormalSum] | None = None, kind=None):
+    def __init__(self, n: int, parts: dict[int, FormalSum] | None = None):
         self.n = n
         self.parts: dict[int, FormalSum] = {}
         for k, s in (parts or {}).items():
             if s.n != n or s.k != k:
                 raise ValueError("component degree disagrees with its key")
-            if kind is None:
-                kind = s.kind
-            elif s.kind is not kind:
-                raise ValueError("cannot mix directed and undirected components")
+            if s.kind is not DirectedGraph:
+                raise ValueError("graded components must be directed")
             if not s.is_zero:
                 self.parts[k] = s
-        self.kind = kind or DirectedGraph
 
     def part(self, k: int) -> FormalSum:
-        return self.parts.get(k, FormalSum.zero(self.n, k, self.kind))
+        return self.parts.get(k, FormalSum.zero(self.n, k))
 
     def degrees(self) -> list[int]:
         return sorted(self.parts)
 
-    def __eq__(self, other):
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        return (self.n, self.kind) == (other.n, other.kind) and (
-            self.parts == other.parts
-        )
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        if self.n != other.n:
-            raise ValueError("vertex-count mismatch")
-        parts = dict(self.parts)
-        for k, s in other.parts.items():
-            parts[k] = parts[k] + s if k in parts else s
-        return GradedElement(self.n, parts, self.kind if self.parts else other.kind)
-
-    def __rmul__(self, c):
-        return GradedElement(
-            self.n, {k: c * s for k, s in self.parts.items()}, self.kind
-        )
-
-    def __str__(self):
-        if not self.parts:
-            return f"0 (n={self.n})"
-        return "\n".join(f"degree {k}: {s}" for k, s in sorted(self.parts.items()))
-
 
 # ---------------------------------------------------------------------------
-# Sums over graph streams and subgraphs
+# Sums over graph streams
 
 
 def u_sum(
@@ -479,31 +449,15 @@ def _stream_sum(graphs, n, k, kind, signed: bool) -> FormalSum:
     return FormalSum(n, k, terms, kind)
 
 
-def alpha(g: DirectedGraph) -> int:
-    """(-1)^k on acyclic graphs, 0 otherwise."""
-    return _alpha_sigma(classify(g), g.k)[0]
-
-
-def sigma(g: DirectedGraph) -> int:
-    """(-1)^beta1 on strongly semiconnected graphs, 0 otherwise."""
-    return _alpha_sigma(classify(g), g.k)[1]
-
-
 def _alpha_sigma(c: GraphClassification, k: int) -> tuple[int, int]:
-    """The acyclicity sign alpha and the semiconnectivity sign sigma of a
-    graph with k edges and classification c."""
+    """The acyclicity sign alpha, (-1)^k on acyclic graphs and 0 otherwise,
+    and the semiconnectivity sign sigma, (-1)^beta1 on strongly
+    semiconnected graphs and 0 otherwise, of a graph with k edges and
+    classification c."""
     return (
         (-1) ** k if c.acyclic else 0,
         (-1) ** c.beta1 if c.strongly_semiconnected else 0,
     )
-
-
-def sum_over_subgraphs(f: Callable, g: DirectedGraph, cap: int | None = None):
-    """Sum of f over all 2^k subgraphs of g (edge subsets, vertices kept)."""
-    total = 0
-    for sub, _ in subgraphs(g, cap=cap):
-        total = total + f(sub)
-    return total
 
 
 # ---------------------------------------------------------------------------

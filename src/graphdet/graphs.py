@@ -85,7 +85,10 @@ def check_cap(size: int, cap: int | None = None) -> None:
 
 
 def _check_edge(n: int, a: int, b: int) -> None:
-    """Refuse an edge (a, b) with an endpoint outside 1..n."""
+    """Refuse an edge (a, b) with an endpoint that is not an int in 1..n; a
+    bool is not an int here."""
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"edge endpoints must be integers, got ({a!r},{b!r})")
     if not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"edge ({a},{b}) out of range for n={n}")
 
@@ -93,65 +96,31 @@ def _check_edge(n: int, a: int, b: int) -> None:
 @dataclass(frozen=True)
 class _Graph:
     """What both kinds of graph share: n vertices, k = len(edges) numbered
-    edges with endpoints in 1..n, stored as ``_canonical`` gives them."""
+    edges with int endpoints in 1..n, stored as the tuple of tuples that
+    ``_canonical`` gives."""
 
     n: int
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("vertex count must be at least 1")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"vertex count must be an integer of at least 1, got {self.n!r}")
         object.__setattr__(self, "edges", self._canonical(self.edges))
         for a, b in self.edges:
             _check_edge(self.n, a, b)
 
     @staticmethod
     def _canonical(edges) -> tuple[Edge, ...]:
-        return edges if isinstance(edges, tuple) else tuple(tuple(e) for e in edges)
+        return tuple(map(tuple, edges))
 
     @property
     def k(self) -> int:
         return len(self.edges)
 
-    def delete_edge(self, p: int):
-        """Remove the edge numbered p; later edges slide down by one."""
-        self._check_pos(p)
-        return type(self)(self.n, self.edges[: p - 1] + self.edges[p:])
-
-    def _check_pos(self, p: int) -> None:
-        if not (1 <= p <= len(self.edges)):
-            raise ValueError(f"edge position {p} out of range 1..{len(self.edges)}")
-
 
 @dataclass(frozen=True)
 class DirectedGraph(_Graph):
     """A directed multigraph given as an ordered sequence of (tail, head) edges."""
-
-    def contract_edge(self, p: int) -> "DirectedGraph":
-        """Contract the (non-loop) edge numbered p.
-
-        The endpoints merge into the smaller of the two indices; vertices above
-        the larger index shift down by one, and remaining edges keep their
-        relative numbering.  Contraction may create loops.
-        """
-        self._check_pos(p)
-        a, b = self.edges[p - 1]
-        if a == b:
-            raise ValueError("cannot contract a loop edge")
-        rest = self.edges[: p - 1] + self.edges[p:]
-        return DirectedGraph(self.n - 1, _merge_vertices(rest, min(a, b), max(a, b)))
-
-    def reverse_edge(self, p: int) -> "DirectedGraph":
-        self._check_pos(p)
-        a, b = self.edges[p - 1]
-        return self.replace_edge(p, b, a)
-
-    def replace_edge(self, p: int, a: int, b: int) -> "DirectedGraph":
-        """Substitute edge (a,b) at position p, keeping the numbering."""
-        self._check_pos(p)
-        return DirectedGraph(
-            self.n, self.edges[: p - 1] + ((a, b),) + self.edges[p:]
-        )
 
     def __str__(self):
         inner = ",".join(f"[{a}{b}]" if self.n < 10 else f"[{a},{b}]" for a, b in self.edges)
@@ -258,29 +227,23 @@ def _classify_key(n: int, sorted_edges: tuple[Edge, ...]) -> GraphClassification
     return hit
 
 
-def _closure(n: int, edges: Iterable[Edge]) -> list[int]:
-    """The reflexive-transitive closure as bit masks: bit w of entry v is
-    set when w is reachable from v."""
-    adj = [0] * (n + 1)
-    for a, b in edges:
-        adj[a] |= 1 << b
-    return [0] + [_reach(adj, v) for v in range(1, n + 1)]
-
-
 def _classify(n: int, sorted_edges: tuple[Edge, ...]) -> GraphClassification:
     """Classify one sorted edge multiset, uncached: for callers that keep
     the result themselves."""
     k = len(sorted_edges)
     outdeg = [0] * (n + 1)
     incident = [False] * (n + 1)
+    adj = [0] * (n + 1)
     loop_count = 0
     for a, b in sorted_edges:
         outdeg[a] += 1
         incident[a] = incident[b] = True
+        adj[a] |= 1 << b
         if a == b:
             loop_count += 1
 
-    reach = _closure(n, sorted_edges)
+    # reach[v] has bit w set when w is reachable from v
+    reach = [0] + [_reach(adj, v) for v in range(1, n + 1)]
     comps = _components(n, sorted_edges)
     b0 = len(comps)
     full = ((1 << (n + 1)) - 2)  # bits 1..n
@@ -308,13 +271,6 @@ def classify(g: DirectedGraph) -> GraphClassification:
     if not isinstance(g, DirectedGraph):
         raise TypeError("classification is defined for directed graphs")
     return _classify_key(g.n, tuple(sorted(g.edges)))
-
-
-def reachable(g: DirectedGraph, a: int, b: int) -> bool:
-    """Directed reachability a -> b; reflexively true for a == b."""
-    if not (1 <= a <= g.n and 1 <= b <= g.n):
-        raise ValueError("vertex out of range")
-    return bool(_closure(g.n, g.edges)[a] >> b & 1)
 
 
 def edge_on_directed_cycle(g: DirectedGraph, p: int) -> bool:
@@ -426,19 +382,6 @@ def subset_positions(k: int) -> tuple[tuple[int, ...], ...]:
     """The 0-based edge positions kept by each of the 2^k bit masks, in mask
     order; the last mask keeps all k."""
     return tuple(tuple(p for p in range(k) if m >> p & 1) for m in range(2 ** k))
-
-
-def subgraphs(
-    g: DirectedGraph, cap: int | None = None
-) -> Iterator[tuple[DirectedGraph, tuple[int, ...]]]:
-    """All 2^k subgraphs obtained by deleting edge subsets, with renumbering.
-
-    Yields (subgraph, kept positions); all n vertices are retained.
-    """
-    check_cap(2 ** g.k, cap)
-    for pos in subset_positions(g.k):
-        edges = tuple(g.edges[p] for p in pos)
-        yield type(g)(g.n, edges), tuple(p + 1 for p in pos)
 
 
 def forget(g: DirectedGraph) -> UndirectedGraph:

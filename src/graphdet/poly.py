@@ -22,10 +22,6 @@ class Variable(NamedTuple):
     i: int = 0
     j: int = 0
 
-    @classmethod
-    def matrix(cls, i: int, j: int) -> "Variable":
-        return cls("w", i, j)
-
     def __str__(self):
         if self.name == "w":
             return f"w[{self.i},{self.j}]"
@@ -39,7 +35,7 @@ Y = Variable("y")
 
 
 def w(i: int, j: int) -> Variable:
-    return Variable.matrix(i, j)
+    return Variable("w", i, j)
 
 
 Monomial = tuple[tuple[Variable, int], ...]
@@ -91,12 +87,19 @@ class MultiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean: dict = {}
+        """Take monomials as (variable, exponent) pairs in any order: a
+        repeated variable's exponents add, a zero exponent drops out, and
+        the coefficients of monomials that become equal add.  A negative
+        exponent raises ValueError."""
+        items = []
         for mono, c in (terms or {}).items():
-            c = _exact(c)
-            if c:
-                clean[tuple(sorted(mono))] = c
-        self._terms = clean
+            exps: dict[Variable, int] = {}
+            for var, e in mono:
+                if e < 0:
+                    raise ValueError("negative exponents are not supported")
+                exps[var] = exps.get(var, 0) + e
+            items.append((tuple(sorted((v, e) for v, e in exps.items() if e)), _exact(c)))
+        self._terms = _accumulate({}, items)
 
     @staticmethod
     def _wrap(terms: dict) -> "MultiPoly":
@@ -112,14 +115,11 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c) -> "MultiPoly":
-        return cls({(): _exact(c)})
+        c = _exact(c)
+        return cls._wrap({(): c} if c else {})
 
     @classmethod
     def variable(cls, var: Variable, exp: int = 1) -> "MultiPoly":
-        if exp < 0:
-            raise ValueError("negative exponents are not supported")
-        if exp == 0:
-            return cls.const(1)
         return cls({((var, exp),): 1})
 
     @property
@@ -155,9 +155,6 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __neg__(self):
         return MultiPoly._wrap({m: -c for m, c in self._terms.items()})

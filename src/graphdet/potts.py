@@ -13,7 +13,6 @@ the edge numbering.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -49,12 +48,6 @@ def potts(u: UndirectedGraph, cap: int | None = None) -> MultiPoly:
         ((Q, b0),) if size == 0 else ((Q, b0), (V, size)): count
         for (b0, size), count in _subset_counts(u, cap).items()
     })
-
-
-def potts_value(u: UndirectedGraph, q0, v0, cap: int | None = None) -> Fraction:
-    """The partition function evaluated at exact rationals, without building
-    the polynomial; q0 and v0 must be ints or Fractions."""
-    return Fraction(_potts_sum(_subset_counts(u, cap), q0, v0))
 
 
 def _potts_sum(counts: dict, q0, v0):

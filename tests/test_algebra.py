@@ -13,7 +13,6 @@ from graphdet import (
     SymmetricSum,
     UndirectedGraph,
     WeightMatrix,
-    alpha,
     b_op,
     classify,
     concat_product,
@@ -22,8 +21,6 @@ from graphdet import (
     format_formal_sum,
     laplace,
     pairing,
-    sigma,
-    sum_over_subgraphs,
     theta,
     u_sum,
     universal_codim1,
@@ -31,7 +28,7 @@ from graphdet import (
     x_sum,
 )
 from graphdet import algebra, graphs
-from graphdet.algebra import class_sum, distinct_permutations
+from graphdet.algebra import _alpha_sigma, class_sum, distinct_permutations
 from graphdet.graphs import directed_edge_types
 
 D = DirectedGraph
@@ -98,19 +95,13 @@ def test_u_and_x_sums():
 
 
 def test_alpha_sigma():
-    assert alpha(D(2, ((1, 2), (2, 1)))) == 0
-    assert sigma(D(2, ((1, 2), (2, 1)))) == -1
-    e = D(2, ())
-    assert alpha(e) == 1 and sigma(e) == 1
-    assert alpha(D(2, ((1, 2),))) == -1
-    assert sigma(D(1, ((1, 1),))) == -1
+    def signs(g):
+        return _alpha_sigma(classify(g), g.k)
 
-
-def test_sum_over_subgraphs():
-    cyc = D(2, ((1, 2), (2, 1)))
-    assert sum_over_subgraphs(alpha, cyc) == -1
-    assert sum_over_subgraphs(sigma, cyc) == 0
-    assert sum_over_subgraphs(alpha, D(2, ())) == 1
+    assert signs(D(2, ((1, 2), (2, 1)))) == (0, -1)
+    assert signs(D(2, ())) == (1, 1)
+    assert signs(D(2, ((1, 2),)))[0] == -1
+    assert signs(D(1, ((1, 1),)))[1] == -1
 
 
 def test_universal_det_small():
@@ -188,10 +179,16 @@ def test_theta_structure():
 
 def test_graded_element():
     th = theta(2)
-    assert th.part(5).is_zero
-    assert (th + GradedElement(2)).parts == th.parts
-    doubled = 2 * th
-    assert doubled.part(1) == 2 * th.part(1)
+    assert th.part(5).is_zero and th.part(5).kind is DirectedGraph
+    assert th.degrees() == [1, 3]
+    assert GradedElement(2).degrees() == []
+    assert GradedElement(2, {1: FormalSum.zero(2, 1)}).parts == {}
+    with pytest.raises(ValueError):
+        GradedElement(2, {2: th.part(1)})  # k disagrees with its key
+    with pytest.raises(ValueError):
+        GradedElement(3, {1: th.part(1)})  # so does n
+    with pytest.raises(ValueError):
+        GradedElement(2, {1: FormalSum.single(UndirectedGraph(2, ((1, 2),)))})
 
 
 def test_distinct_permutations():

@@ -127,15 +127,10 @@ def test_zero_sum_keeps_its_kind():
         assert z.is_zero and z.kind is UndirectedGraph
     assert format_formal_sum(forget_sum(FormalSum.zero(2, 1))) == "FSU 2 1\n"
     assert forget_sum(universal_det(2, 1, ())).kind is UndirectedGraph
-    # so do the stream sums and a graded element's missing parts
+    # so do the stream sums; a graded element's missing parts are directed
     assert u_sum([], n=2, k=1, kind=U) == forget_sum(FormalSum.zero(2, 1))
     assert x_sum([], n=2, k=1, kind=UndirectedGraph).kind is UndirectedGraph
     assert u_sum([U(2, ((1, 2),))]).kind is UndirectedGraph
-    graded = GradedElement(2, {1: forget_sum(FormalSum.zero(2, 1))})
-    assert graded.kind is UndirectedGraph and not graded.parts
-    assert graded.part(3) == FormalSum.zero(2, 3, UndirectedGraph)
-    assert (2 * graded).kind is UndirectedGraph
-    assert laplace(graded.part(1)).kind is UndirectedGraph
     assert GradedElement(2).part(1).kind is DirectedGraph
 
 

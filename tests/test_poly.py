@@ -78,6 +78,21 @@ def test_constant_value():
         var(Q).constant_value()
 
 
+def test_constructor_canonicalizes_monomials():
+    # repeated variables merge, zero exponents drop, and monomials that
+    # become equal add their coefficients
+    assert MultiPoly({((Q, 1), (Q, 1)): 1}) == var(Q, 2)
+    assert MultiPoly({((Q, 0),): 1}) == 1 and MultiPoly({((Q, 0),): 1}).is_constant
+    assert MultiPoly({((V, 1), (Q, 0)): 2}) == 2 * var(V)
+    assert MultiPoly({((Q, 2),): 1, ((Q, 1), (Q, 1)): 2, ((V, 1), (Q, 2)): 1}) == (
+        3 * var(Q, 2) + var(Q, 2) * var(V)
+    )
+    assert MultiPoly({((Q, 2),): 1, ((Q, 1), (Q, 1)): -1}).is_zero
+    assert MultiPoly({(): 0}).is_zero and MultiPoly.const(0).is_zero
+    with pytest.raises(ValueError):
+        MultiPoly({((Q, -1),): 1})
+
+
 def test_determinant_small():
     W = WeightMatrix.symbolic(2)
     assert determinant(W) == var(w(1, 1)) * var(w(2, 2)) - var(w(1, 2)) * var(w(2, 1))

@@ -21,7 +21,7 @@ from graphdet import (
 )
 from graphdet.algebra import FormalSum
 from graphdet.poly import Q, V, X, Y
-from graphdet.potts import potts, potts_value
+from graphdet.potts import potts
 
 U = UndirectedGraph
 var = MultiPoly.variable
@@ -40,13 +40,6 @@ def test_potts_examples():
     for u in [U(2, ((1, 1), (1, 2))), U(1, ((1, 1), (1, 1))), U(3, ((2, 2), (1, 3), (3, 3)))]:
         loops = sum(1 for a, b in u.edges if a == b)
         assert potts(u) == (var(V) + 1) ** loops * potts(shave(u))
-
-
-def test_potts_value_matches_polynomial():
-    for u in enumerate_undirected(2, 3):
-        z = potts(u)
-        for q0, v0 in [(-1, 1), (-1, -1), (Fraction(1, 2), 3)]:
-            assert potts_value(u, q0, v0) == z.evaluate({Q: q0, V: v0})
 
 
 def test_shave():
@@ -106,7 +99,7 @@ def test_universal_potts_weighs_every_sequence(shaved, q0, v0):
     for n in (1, 2, 3):
         for k in range(4):
             want = FormalSum(n, k, {
-                u: potts_value(shave(u) if shaved else u, q0, v0)
+                u: potts(shave(u) if shaved else u).evaluate({Q: q0, V: v0})
                 for u in enumerate_undirected(n, k)
             }, U)
             assert universal_potts(n, k, q0, v0, shaved=shaved) == want, (n, k)
@@ -140,20 +133,8 @@ def test_lapl_tutte_small():
 @pytest.mark.parametrize("q0, v0", [(0.1, 1), (1, 0.5), (-1.0, -1)])
 def test_potts_values_refuse_floats(q0, v0):
     # Fraction(0.1) is the binary value of 0.1, not 1/10
-    u = UndirectedGraph(2, ((1, 2),))
-    with pytest.raises(TypeError):
-        potts_value(u, q0, v0)
     with pytest.raises(TypeError):
         universal_potts(2, 1, q0, v0)
-
-
-def test_potts_value_is_a_fraction_at_int_and_fraction_points():
-    u = UndirectedGraph(2, ((1, 2), (1, 1)))
-    assert type(potts_value(u, 2, 3)) is Fraction
-    assert potts_value(u, 2, 3) == potts(u).evaluate({Q: 2, V: 3})
-    assert potts_value(u, Fraction(1, 10), 1) == potts(u).evaluate(
-        {Q: Fraction(1, 10), V: 1}
-    )
 
 
 def test_universal_potts_keeps_ints_at_integer_points():

@@ -1,9 +1,11 @@
-"""The engine imports nothing outside the standard library, and its
-modules form layers: each imports only the modules before it, at its top."""
+"""The engine imports nothing outside the standard library, its modules
+form layers: each imports only the modules before it, at its top, and the
+package exports exactly the public names listed here."""
 
 import ast
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import graphdet
 
@@ -66,3 +68,25 @@ def test_modules_import_only_earlier_modules_and_only_at_top_level():
                 ]
     assert upward == []
     assert in_functions == []
+
+
+PUBLIC = [
+    "CapExceeded", "DirectedGraph", "FormalSum", "GradedElement",
+    "GraphClassification", "GraphFormatError", "MultiPoly", "SymmetricSum",
+    "UndirectedGraph", "Variable", "WeightMatrix", "b_op", "beta0", "beta1",
+    "classify", "concat_product", "count_orientations", "determinant",
+    "enumerate_class", "enumerate_graphs", "enumerate_undirected", "forget",
+    "forget_sum", "format_formal_sum", "format_graph", "laplace",
+    "laplace_matrix", "minor", "orientations", "pairing", "parse_formal_sum",
+    "parse_graph", "shave", "theta", "tutte", "u_sum", "universal_codim1",
+    "universal_det", "universal_potts", "w", "x_sum",
+]
+
+
+def test_public_names_are_exactly_the_listed_ones():
+    exported = sorted(
+        name for name in dir(graphdet)
+        if not name.startswith("_")
+        and not isinstance(getattr(graphdet, name), ModuleType)
+    )
+    assert exported == PUBLIC
