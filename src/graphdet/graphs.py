@@ -337,8 +337,11 @@ def enumerate_undirected(n: int, k: int, cap: int | None = None) -> Iterator[Und
 
 
 def _vertex_set(n: int, I: Iterable[int]) -> frozenset[int]:
-    """The vertex set I, refused unless it lies in 1..n."""
+    """The vertex set I, refused unless its vertices are ints in 1..n; a
+    bool is not an int here."""
     vs = frozenset(I)
+    if any(type(v) is not int for v in vs):
+        raise ValueError(f"vertices must be integers, got {sorted(vs, key=repr)}")
     if not vs <= set(range(1, n + 1)):
         raise ValueError("vertex set out of range")
     return vs

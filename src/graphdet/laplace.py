@@ -2,15 +2,17 @@
 
 The position-p operator fixes any graph whose p-th edge is not a loop; a
 loop at vertex a in position p is traded for minus the sum of the n-1 edges
-(a,b), b != a, in the same position.  The Laplace operator on a FormalSum
-is the composition of these over all positions, so a graph with L loops
-goes to (n-1)^L loop-free terms of sign (-1)^L.
+(a,b), b != a, in the same position, and for nothing when n = 1.  The
+Laplace operator is the composition of these over all positions, so a
+graph with L loops goes to (n-1)^L loop-free terms of sign (-1)^L.
 
 The Laplace operator treats every position alike, so it commutes with
-renumbering the edges and maps a SymmetricSum to a SymmetricSum; it is
-applied there once per edge multiset.  The position operators do not, and
-expand a SymmetricSum first.  Both take homogeneous sums only; apply
-``laplace`` to each part of a graded element.
+renumbering the edges and maps a SymmetricSum to a SymmetricSum.  It is
+computed one key at a time for both kinds of sum, each key weighed by the
+numbered graphs it stands for, as ``pairing`` does.  The position operators
+do not commute with renumbering, and expand a SymmetricSum first.  Both
+take homogeneous sums only; apply ``laplace`` to each part of a graded
+element.
 
 The same definition works verbatim for undirected sums; replacement edges
 are then stored canonically.
@@ -19,10 +21,10 @@ are then stored canonically.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .graphs import DirectedGraph
-from .algebra import FormalSum, SymmetricSum, multiplicity_factor
-from .poly import _accumulate
+from .algebra import FormalSum, SymmetricSum
 
 
 def _replacements(kind, n: int, a: int):
@@ -46,8 +48,6 @@ def b_op(p: int, s: FormalSum) -> FormalSum:
         if a != b:
             terms[e] = terms[e] + c if e in terms else c
             continue
-        if s.n == 1:
-            continue  # the operator vanishes on single-vertex loops
         for r in _replacements(s.kind, s.n, a):
             h = e[:i] + (r,) + e[p:]
             terms[h] = terms[h] - c if h in terms else -c
@@ -55,44 +55,29 @@ def b_op(p: int, s: FormalSum) -> FormalSum:
 
 
 def laplace(s: FormalSum | SymmetricSum) -> FormalSum | SymmetricSum:
-    """The composition of the position operators b_1, ..., b_k; a
-    SymmetricSum gets the same image, one edge multiset at a time.
+    """The composition of the position operators b_1, ..., b_k, one key at a
+    time for either kind of sum.
 
-    Identity in degree 0; zero on any term with a loop when n = 1.  The
-    output is supported on loop-free graphs only.
+    A key with L loops goes, with sign (-1)^L, to every image that trades
+    each loop (a,a) for one of its replacements, the other edges staying in
+    place.  The key stands for count(key) = ``s._count((key,))`` numbered
+    graphs; an image key M' that its own numbering reaches t times is
+    reached t * count(key) times in all, evenly over the count(M')
+    numberings of M'.  So M' gains (-1)^L * c times the integer
+    t * count(key) // count(M').  Loop-free keys are fixed.
     """
-    if isinstance(s, SymmetricSum):
-        return _laplace_multisets(s)
-    if not isinstance(s, FormalSum):
+    if not isinstance(s, (FormalSum, SymmetricSum)):
         raise TypeError("laplace expects a FormalSum or SymmetricSum")
-    for p in range(1, s.k + 1):
-        s = b_op(p, s)
-    return s
-
-
-def _laplace_multisets(s: SymmetricSum) -> SymmetricSum:
-    """Laplace image of a symmetric sum, one edge multiset at a time.
-
-    A multiset M with coefficient c stands for k!/m(M) numbered graphs,
-    m(M) being the product of its multiplicity factorials.  Resolving the
-    loops of one fixed ordering of M reaches each image multiset M' some
-    number of times t; over all orderings of M that is t * k!/m(M) numbered
-    images, spread evenly over the k!/m(M') orderings of M'.  So each
-    ordering of M' is reached t * m(M') / m(M) times, an integer, and M adds
-    sign * c times that count to the coefficient of M'.
-    """
-    n, kind = s.n, s.kind
     terms: dict = {}
-    for multiset, c in s._terms.items():
-        loops = [a for a, b in multiset if a == b]
-        if loops and n == 1:
+    for key, c in s._terms.items():
+        loops = [a for a, b in key if a == b]
+        if not loops:
+            terms[key] = terms[key] + c if key in terms else c
             continue
-        fixed = tuple(e for e in multiset if e[0] != e[1])
-        images: dict = {}
-        for combo in itertools.product(*[_replacements(kind, n, a) for a in loops]):
-            image = tuple(sorted(fixed + combo))
-            images[image] = images.get(image, 0) + 1
-        c, m0 = (-1) ** len(loops) * c, multiplicity_factor(multiset)
-        ratios = ((m, t * multiplicity_factor(m) // m0) for m, t in images.items())
-        _accumulate(terms, ((m, c * r) for m, r in ratios))
-    return SymmetricSum._wrap(s.n, s.k, terms, kind)
+        c = -c if len(loops) % 2 else c
+        count = s._count((key,))
+        options = [_replacements(s.kind, s.n, a) if a == b else ((a, b),) for a, b in key]
+        for m, t in Counter(map(s._key, itertools.product(*options))).items():
+            w = c * (t * count // s._count((m,)))
+            terms[m] = terms[m] + w if m in terms else w
+    return s._like({m: w for m, w in terms.items() if w}, s.kind)

@@ -89,14 +89,14 @@ class MultiPoly:
     def __init__(self, terms: dict | None = None):
         """Take monomials as (variable, exponent) pairs in any order: a
         repeated variable's exponents add, a zero exponent drops out, and
-        the coefficients of monomials that become equal add.  A negative
-        exponent raises ValueError."""
+        the coefficients of monomials that become equal add.  An exponent
+        that is not a non-negative int, a bool included, raises ValueError."""
         items = []
         for mono, c in (terms or {}).items():
             exps: dict[Variable, int] = {}
             for var, e in mono:
-                if e < 0:
-                    raise ValueError("negative exponents are not supported")
+                if type(e) is not int or e < 0:
+                    raise ValueError(f"exponents must be non-negative integers, got {e!r}")
                 exps[var] = exps.get(var, 0) + e
             items.append((tuple(sorted((v, e) for v, e in exps.items() if e)), _exact(c)))
         self._terms = _accumulate({}, items)

@@ -221,8 +221,14 @@ def test_class_sum_matches_stream_filter():
     lambda: class_sum(2, 2, "SSC", (0, 1), signed=True),
     lambda: universal_det(2, 1, (3,)),
     lambda: list(enumerate_class(2, 1, "AC", (5,))),
-], ids=["class_sum-AC", "class_sum-SSC", "universal_det", "enumerate_class"])
+    lambda: class_sum(2, 1, "AC", (2.0,)),
+    lambda: class_sum(2, 1, "SSC", (True,)),
+    lambda: universal_det(2, 1, (1, 2.0)),
+    lambda: list(enumerate_class(2, 1, "AC", (1.0,))),
+], ids=["class_sum-AC", "class_sum-SSC", "universal_det", "enumerate_class",
+        "class_sum-float", "class_sum-bool", "universal_det-float", "enumerate_class-float"])
 def test_vertex_set_out_of_range_raises(build):
+    # A float or bool vertex equal to one in 1..n is refused too.
     with pytest.raises(ValueError):
         build()
 

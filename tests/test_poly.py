@@ -89,8 +89,9 @@ def test_constructor_canonicalizes_monomials():
     )
     assert MultiPoly({((Q, 2),): 1, ((Q, 1), (Q, 1)): -1}).is_zero
     assert MultiPoly({(): 0}).is_zero and MultiPoly.const(0).is_zero
-    with pytest.raises(ValueError):
-        MultiPoly({((Q, -1),): 1})
+    for exp in (-1, 1.5, 2.0, True, Fraction(2)):
+        with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+            MultiPoly({((V, 1), (Q, exp)): 1})
 
 
 def test_determinant_small():

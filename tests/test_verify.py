@@ -57,6 +57,17 @@ def test_checks_refuse_bad_shape(check, n, k):
         run_check(check, {"n": n, "k": k})
 
 
+@pytest.mark.parametrize("check", [
+    lambda: verify_diag(2, 1, (1.0,)),
+    lambda: verify_diag(2, 1, (True,)),
+    lambda: verify_kirchhoff_diag(2, (1.0,)),
+], ids=["diag-float", "diag-bool", "kirchhoff_diag-float"])
+def test_checks_refuse_non_integer_vertices(check):
+    # 1.0 and True equal the vertex 1, but would reach the report's params.
+    with pytest.raises(ValueError, match="vertices must be integers"):
+        check()
+
+
 def test_direct_small_cells():
     for n, k in [(1, 0), (1, 1), (2, 0), (2, 2), (3, 2)]:
         assert verify_direct(n, k).ok
