@@ -44,6 +44,8 @@ from .graphs import (
     _classify,
     _read_edge,
     _read_header,
+    _read_number,
+    _vertex,
     _vertex_set,
     beta0,
     check_cap,
@@ -192,13 +194,9 @@ class _LinearSum:
         """Linear extension of a degree-preserving map on basis graphs;
         coefficients of colliding images merge.  ``kind`` is the kind of the
         images, needed when the sum is zero; it defaults to this sum's."""
-        terms: dict = {}
-        n, k = self.n, self.k
-        for g, c in self.terms():
-            h = fn(g)
-            n, k = h.n, h.k
-            terms[h] = terms.get(h, 0) + c
-        return FormalSum(n, k, terms, kind or self.kind)
+        terms = _accumulate({}, ((fn(g), c) for g, c in self.terms()))
+        h = next(iter(terms), self)
+        return FormalSum(h.n, h.k, terms, kind or self.kind)
 
     def __str__(self):
         if self.is_zero:
@@ -438,14 +436,14 @@ def x_sum(
 
 
 def _stream_sum(graphs, n, k, kind, signed: bool) -> FormalSum:
-    terms: dict = {}
-    for g in graphs:
-        if n is None:
-            n, k = g.n, g.k
-        c = (-1) ** beta0(g) if signed else 1
-        terms[g] = terms.get(g, 0) + c
+    # A graph always carries the same sign, so no key cancels: the terms
+    # are empty only for an empty stream.
+    terms = _accumulate({}, ((g, (-1) ** beta0(g) if signed else 1) for g in graphs))
     if n is None:
-        raise ValueError("empty stream: pass n and k explicitly")
+        if not terms:
+            raise ValueError("empty stream: pass n and k explicitly")
+        g = next(iter(terms))
+        n, k = g.n, g.k
     return FormalSum(n, k, terms, kind)
 
 
@@ -546,8 +544,8 @@ def universal_codim1(
     isolated vertex: a degree-(k+1) multiset of that class holding (i,j),
     less one copy of it.  Its sign is the bigger multiset's, which agrees
     with G's own, as an edge joining two components lies on no cycle."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("vertex out of range")
+    _vertex(n, i)
+    _vertex(n, j)
     check_shape(n, k)
     terms = {}
     for big, c in class_sum(n, k + 1, "SSC", (), signed=True, cap=cap)._terms.items():
@@ -608,19 +606,18 @@ def format_formal_sum(s) -> str:
 def parse_formal_sum(text: str) -> FormalSum:
     tag, n, k, _, body = _read_header(text, ("FS", "FSU"), "formal-sum")
     cls = DirectedGraph if tag == "FS" else UndirectedGraph
-    terms: dict = {}
+    terms = []
     for no, line in body:
         if "|" not in line:
             raise GraphFormatError(f"expected 'p/q | edges', got {line!r}", no)
         coeff_part, _, edges_part = line.partition("|")
         try:
-            c = Fraction(coeff_part.strip())
+            c = _read_number(coeff_part.strip(), rational=True)
         except (ValueError, ZeroDivisionError):
             raise GraphFormatError(f"bad coefficient {coeff_part.strip()!r}", no)
         chunks = edges_part.split(";") if edges_part.strip() else []
         edges = tuple(_read_edge(n, chunk.strip(), no) for chunk in chunks)
         if len(edges) != k:
             raise GraphFormatError(f"term has {len(edges)} edges, expected {k}", no)
-        g = cls(n, edges)
-        terms[g] = terms.get(g, 0) + c
-    return FormalSum(n, k, terms, cls)
+        terms.append((cls(n, edges), c))
+    return FormalSum(n, k, _accumulate({}, terms), cls)

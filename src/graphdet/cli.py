@@ -26,6 +26,7 @@ from .graphs import (
     CapExceeded,
     DirectedGraph,
     UndirectedGraph,
+    _read_number,
     check_cap,
     classify,
     enumerate_class,
@@ -64,7 +65,7 @@ def _parse_minor(text: str) -> tuple[int, int]:
 
 def _parse_rational(flag: str, text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _read_number(text, rational=True)
     except (ValueError, ZeroDivisionError):
         raise SystemExit2(f"bad {flag} value {text!r}; expected a rational, e.g. -1/2")
 
@@ -295,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a directed graph file")
     p.add_argument("input", help="graph file path, or - for stdin")
-    common(p)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("enumerate", help="enumerate graphs or a graph class")
@@ -322,12 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("laplace", help="apply the Laplace operator to a formal-sum file")
     p.add_argument("input", help="formal-sum file path, or - for stdin")
     p.add_argument("-o", "--output")
-    common(p)
     p.set_defaults(fn=cmd_laplace)
 
     p = sub.add_parser("pair", help="pair a formal-sum file with the symbolic matrix")
     p.add_argument("input")
-    common(p)
     p.set_defaults(fn=cmd_pair)
 
     p = sub.add_parser("potts", help="partition function of an undirected graph file")

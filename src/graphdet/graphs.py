@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -336,15 +338,19 @@ def enumerate_undirected(n: int, k: int, cap: int | None = None) -> Iterator[Und
         yield UndirectedGraph(n, edges)
 
 
+def _vertex(n: int, v: int) -> int:
+    """The vertex v, refused unless it is an int in 1..n; a bool is not an
+    int here."""
+    if type(v) is not int:
+        raise ValueError(f"vertices must be integers, got {v!r}")
+    if not 1 <= v <= n:
+        raise ValueError("vertex out of range")
+    return v
+
+
 def _vertex_set(n: int, I: Iterable[int]) -> frozenset[int]:
-    """The vertex set I, refused unless its vertices are ints in 1..n; a
-    bool is not an int here."""
-    vs = frozenset(I)
-    if any(type(v) is not int for v in vs):
-        raise ValueError(f"vertices must be integers, got {sorted(vs, key=repr)}")
-    if not vs <= set(range(1, n + 1)):
-        raise ValueError("vertex set out of range")
-    return vs
+    """The vertex set I, each vertex refused as ``_vertex`` refuses it."""
+    return frozenset(_vertex(n, v) for v in I)
 
 
 def _class_test(cls: str):
@@ -414,6 +420,21 @@ def orientations(u: UndirectedGraph, cap: int | None = None) -> Iterator[Directe
 # are skipped but counted, so every error names the line it is on.
 
 
+_NUMBER = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _read_number(text: str, rational: bool = False) -> int | Fraction:
+    """The number that text spells in ASCII: an integer -?[0-9]+, or, when
+    rational, a Fraction -?[0-9]+ with an optional /[0-9]+.  No sign but a
+    leading minus, no spaces, underscores, decimal points, exponents or
+    non-ASCII digits; anything else raises ValueError, and a zero
+    denominator ZeroDivisionError."""
+    match = _NUMBER.fullmatch(text)
+    if match is None or (match[1] and not rational):
+        raise ValueError(f"not {'a rational' if rational else 'an integer'}: {text!r}")
+    return Fraction(text) if rational else int(text)
+
+
 def _read_header(text: str, tags: tuple[str, ...], what: str):
     """Read the first nonblank line of text as the header "TAG n k".
 
@@ -432,7 +453,7 @@ def _read_header(text: str, tags: tuple[str, ...], what: str):
         want = " or ".join(f"'{tag} n k'" for tag in tags)
         raise GraphFormatError(f"expected header {want}, got {head!r}", head_no)
     try:
-        n, k = int(parts[1]), int(parts[2])
+        n, k = _read_number(parts[1]), _read_number(parts[2])
     except ValueError:
         raise GraphFormatError(f"non-integer header fields in {head!r}", head_no)
     try:
@@ -449,7 +470,7 @@ def _read_edge(n: int, text: str, no: int) -> Edge:
     if len(toks) != 2:
         raise GraphFormatError(f"expected 'a b', got {text!r}", no)
     try:
-        a, b = int(toks[0]), int(toks[1])
+        a, b = _read_number(toks[0]), _read_number(toks[1])
     except ValueError:
         raise GraphFormatError(f"non-integer endpoint in {text!r}", no)
     try:

@@ -25,6 +25,7 @@ from collections import Counter
 
 from .graphs import DirectedGraph
 from .algebra import FormalSum, SymmetricSum
+from .poly import _accumulate
 
 
 def _replacements(kind, n: int, a: int):
@@ -42,16 +43,17 @@ def b_op(p: int, s: FormalSum) -> FormalSum:
     i = p - 1
     if not any(e[i][0] == e[i][1] for e in s._terms):
         return s
-    terms: dict = {}
-    for e, c in s._terms.items():
-        a, b = e[i]
-        if a != b:
-            terms[e] = terms[e] + c if e in terms else c
-            continue
-        for r in _replacements(s.kind, s.n, a):
-            h = e[:i] + (r,) + e[p:]
-            terms[h] = terms[h] - c if h in terms else -c
-    return FormalSum._wrap(s.n, s.k, {h: c for h, c in terms.items() if c}, s.kind)
+
+    def images():
+        for e, c in s._terms.items():
+            a, b = e[i]
+            if a != b:
+                yield e, c
+                continue
+            for r in _replacements(s.kind, s.n, a):
+                yield e[:i] + (r,) + e[p:], -c
+
+    return FormalSum._wrap(s.n, s.k, _accumulate({}, images()), s.kind)
 
 
 def laplace(s: FormalSum | SymmetricSum) -> FormalSum | SymmetricSum:
@@ -68,16 +70,17 @@ def laplace(s: FormalSum | SymmetricSum) -> FormalSum | SymmetricSum:
     """
     if not isinstance(s, (FormalSum, SymmetricSum)):
         raise TypeError("laplace expects a FormalSum or SymmetricSum")
-    terms: dict = {}
-    for key, c in s._terms.items():
-        loops = [a for a, b in key if a == b]
-        if not loops:
-            terms[key] = terms[key] + c if key in terms else c
-            continue
-        c = -c if len(loops) % 2 else c
-        count = s._count((key,))
-        options = [_replacements(s.kind, s.n, a) if a == b else ((a, b),) for a, b in key]
-        for m, t in Counter(map(s._key, itertools.product(*options))).items():
-            w = c * (t * count // s._count((m,)))
-            terms[m] = terms[m] + w if m in terms else w
-    return s._like({m: w for m, w in terms.items() if w}, s.kind)
+
+    def images():
+        for key, c in s._terms.items():
+            loops = [a for a, b in key if a == b]
+            if not loops:
+                yield key, c
+                continue
+            c = -c if len(loops) % 2 else c
+            count = s._count((key,))
+            options = [_replacements(s.kind, s.n, a) if a == b else ((a, b),) for a, b in key]
+            for m, t in Counter(map(s._key, itertools.product(*options))).items():
+                yield m, c * (t * count // s._count((m,)))
+
+    return s._like(_accumulate({}, images()), s.kind)

@@ -46,10 +46,7 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
         return m2
     if not m2:
         return m1
-    exps: dict[Variable, int] = dict(m1)
-    for var, e in m2:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
+    return tuple(sorted(_accumulate(dict(m1), m2).items()))
 
 
 def _exact(value) -> int | Fraction:
@@ -67,12 +64,15 @@ def _exact(value) -> int | Fraction:
 
 
 def _accumulate(terms: dict, items) -> dict:
-    """Add each (key, coefficient) pair of items into terms, dropping the
-    keys whose coefficients cancel to zero; returns terms."""
+    """Add each (key, value) pair of items into terms and return terms.  A
+    new key stores its value as given, with no arithmetic; a key already
+    present stores the sum; a key whose value is zero is dropped."""
     for key, c in items:
-        c2 = terms.get(key, 0) + c
-        if c2:
-            terms[key] = c2
+        old = terms.get(key)
+        if old is not None:
+            c = old + c
+        if c:
+            terms[key] = c
         else:
             terms.pop(key, None)
     return terms
@@ -93,12 +93,10 @@ class MultiPoly:
         that is not a non-negative int, a bool included, raises ValueError."""
         items = []
         for mono, c in (terms or {}).items():
-            exps: dict[Variable, int] = {}
             for var, e in mono:
                 if type(e) is not int or e < 0:
                     raise ValueError(f"exponents must be non-negative integers, got {e!r}")
-                exps[var] = exps.get(var, 0) + e
-            items.append((tuple(sorted((v, e) for v, e in exps.items() if e)), _exact(c)))
+            items.append((tuple(sorted(_accumulate({}, mono).items())), _exact(c)))
         self._terms = _accumulate({}, items)
 
     @staticmethod

@@ -29,17 +29,16 @@ from .graphs import (
     subset_positions,
     undirected_edge_types,
 )
-from .poly import MultiPoly, Q, V, X, Y, _exact
+from .poly import MultiPoly, Q, V, X, Y, _accumulate, _exact
 
 
 def _subset_counts(u: UndirectedGraph, cap: int | None) -> dict[tuple[int, int], int]:
     """How many edge subsets of u have each (components, size) pair."""
     check_cap(2 ** u.k, cap)
-    counts: dict = {}
-    for pos in subset_positions(u.k):
-        key = (_beta0(u.n, tuple(u.edges[p] for p in pos)), len(pos))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return _accumulate({}, (
+        ((_beta0(u.n, tuple(u.edges[p] for p in pos)), len(pos)), 1)
+        for pos in subset_positions(u.k)
+    ))
 
 
 def potts(u: UndirectedGraph, cap: int | None = None) -> MultiPoly:

@@ -40,6 +40,7 @@ from .graphs import (
     UndirectedGraph,
     _beta0,
     _classify_key,
+    _vertex,
     check_cap,
     check_shape,
     classify,
@@ -306,6 +307,7 @@ def verify_derivative(n: int, k: int, i: int, m: int, cap=None) -> VerificationR
     """Sign-probed diagonal-derivative law: the m-fold partial derivative of
     the paired determinant in w[i,i] against s^m times the paired sum of the
     two smaller determinant elements."""
+    _vertex(n, i)
     if not (1 <= m <= k):
         raise ValueError("need 1 <= m <= k")
     t0 = time.perf_counter()
@@ -425,8 +427,8 @@ def verify_kirchhoff_codim1(n: int, i: int, j: int, cap=None) -> VerificationRep
     """Off-diagonal minor of the zero-row-sum matrix against the sum over
     trees directed towards vertex i, with the derived sign (-1)^(i+j+n-1);
     also records whether the classical (-1)^(n-1) phrasing holds."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("vertex out of range")
+    _vertex(n, i)
+    _vertex(n, j)
     if i == j:
         raise ValueError("need i != j")
     t0 = time.perf_counter()

@@ -225,8 +225,12 @@ def test_class_sum_matches_stream_filter():
     lambda: class_sum(2, 1, "SSC", (True,)),
     lambda: universal_det(2, 1, (1, 2.0)),
     lambda: list(enumerate_class(2, 1, "AC", (1.0,))),
+    lambda: universal_codim1(2, 1, 1.0, 2),
+    lambda: universal_codim1(2, 1, 1, True),
+    lambda: universal_codim1(2, 1, 3, 1),
 ], ids=["class_sum-AC", "class_sum-SSC", "universal_det", "enumerate_class",
-        "class_sum-float", "class_sum-bool", "universal_det-float", "enumerate_class-float"])
+        "class_sum-float", "class_sum-bool", "universal_det-float", "enumerate_class-float",
+        "universal_codim1-float", "universal_codim1-bool", "universal_codim1-range"])
 def test_vertex_set_out_of_range_raises(build):
     # A float or bool vertex equal to one in 1..n is refused too.
     with pytest.raises(ValueError):

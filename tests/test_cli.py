@@ -365,8 +365,10 @@ SHAPE = "need n >= 1 and k >= 0"
     (["det", "--n", "0", "--k", "0"], SHAPE),
     (["verify", "kirchhoff-codim1", "--n", "0", "--minor", "1/2"],
      "vertex out of range"),
+    (["verify", "derivative", "--n", "2", "--k", "2", "--minor", "3/3", "--m", "1"],
+     "vertex out of range"),
 ], ids=["direct", "direct-prime", "mobius", "specval", "operator-laws-n0",
-        "operator-laws-k-1", "det", "kirchhoff-codim1"])
+        "operator-laws-k-1", "det", "kirchhoff-codim1", "derivative"])
 def test_out_of_range_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and message in err
@@ -383,6 +385,17 @@ def test_bad_cap_exits_2(monkeypatch, capsys, env, flags, source):
     assert code == 2 and out == "" and source in err
 
 
+@pytest.mark.parametrize("command", ["classify", "laplace", "pair"])
+def test_cap_is_refused_where_nothing_reads_it(tmp_path, capsys, command):
+    # argparse refuses the unknown flag rather than letting --cap 0 pass unread
+    src = tmp_path / "in.txt"
+    src.write_text("FS 2 1\n1/1 | 1 2\n" if command != "classify" else "D 2 1\n1 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(src), "--cap", "0"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and "--cap" in out.err
+
+
 def test_cap_zero_is_a_cap(capsys):
     code, _, err = run(capsys, "verify", "diag", "--n", "2", "--k", "1", "--cap", "0")
     assert code == 3 and "exceeds the cap of 0" in err
@@ -396,8 +409,15 @@ def test_cap_zero_is_a_cap(capsys):
     ["verify", "diag", "--n", "2", "--k", "2", "--json", "DIR"],
     ["potts", "FILE", "--q", "1/0"],
     ["potts", "FILE", "--v", "1/0"],
+    ["potts", "FILE", "--q", "1.5"],
+    ["potts", "FILE", "--v", "1e2"],
+    ["potts", "FILE", "--q", "1_0"],
+    ["potts", "FILE", "--q", "2 / 3"],
+    ["potts", "FILE", "--q", "+1"],
+    ["potts", "FILE", "--v", "\u0662"],
 ], ids=["classify-dir", "det-output-dir", "verify-json-dir", "potts-q-over-0",
-        "potts-v-over-0"])
+        "potts-v-over-0", "potts-q-decimal", "potts-v-exponent", "potts-q-underscore",
+        "potts-q-spaced", "potts-q-plus", "potts-v-non-ascii"])
 def test_unusable_path_or_rational_exits_2(tmp_path, capsys, argv):
     # exit 1 would read as a failed identity
     graph = tmp_path / "u.txt"

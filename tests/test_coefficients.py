@@ -26,7 +26,7 @@ from graphdet import (
 )
 from graphdet.algebra import class_sum
 from graphdet.graphs import directed_edge_types, undirected_edge_types
-from graphdet.poly import Q, V
+from graphdet.poly import Q, V, _accumulate
 
 D = DirectedGraph
 
@@ -176,3 +176,14 @@ def test_integral_fractions_are_stored_as_ints():
     assert _stored(p) == {int}
     assert _is_fraction(p.constant_value()) and p.constant_value() == 2
     assert _stored(FormalSum.single(g, Fraction(1, 2))) == {Fraction}
+
+
+def test_accumulate_stores_a_new_value_as_given():
+    c = Fraction(1, 3)
+    assert _accumulate({}, [("a", c)])["a"] is c
+    # A key that cancels is dropped, and comes back with the next value.
+    terms = _accumulate({}, [("a", 2), ("b", c), ("a", -2)])
+    assert terms == {"b": c}
+    d = Fraction(5, 7)
+    assert _accumulate(terms, [("a", d)])["a"] is d
+    assert _accumulate(terms, [("a", 0), ("c", 0)]) == {"b": c, "a": d}

@@ -199,6 +199,11 @@ def _spread(draw, lines):
     return "\n".join(out) + "\n", numbers
 
 
+def _arabic(number: int) -> str:
+    """number in Arabic-Indic digits, which int() and Fraction() also read."""
+    return "".join(chr(0x660 + int(d)) for d in str(number))
+
+
 # Each malformed-header class: the header that replaces "TAG n k".
 HEADER_FAULTS = {
     "tag": lambda tag, n, k: f"X {n} {k}",
@@ -206,6 +211,9 @@ HEADER_FAULTS = {
     "non-integer-field": lambda tag, n, k: f"{tag} {n} k",
     "vertex-count": lambda tag, n, k: f"{tag} 0 {k}",
     "negative-edge-count": lambda tag, n, k: f"{tag} {n} -1",
+    "plus-sign": lambda tag, n, k: f"{tag} +{n} {k}",
+    "underscore": lambda tag, n, k: f"{tag} {n}_0 {k}",
+    "non-ascii-digit": lambda tag, n, k: f"{tag} {_arabic(n)} {k}",
 }
 # Each malformed-edge class, as the text of one "a b" edge.
 EDGE_FAULTS = {
@@ -213,6 +221,9 @@ EDGE_FAULTS = {
     "non-integer-endpoint": lambda n: "1 x",
     "endpoint-below-range": lambda n: "0 1",
     "endpoint-above-range": lambda n: f"1 {n + 1}",
+    "plus-sign": lambda n: "+1 1",
+    "underscore": lambda n: "0_1 1",
+    "non-ascii-digit": lambda n: f"{_arabic(1)} 1",
 }
 
 
@@ -243,6 +254,12 @@ TERM_FAULTS = {
     "no-bar": lambda k: "1/1 " + " ; ".join(["1 1"] * k),
     "non-rational-coefficient": lambda k: "x | " + " ; ".join(["1 1"] * k),
     "zero-denominator": lambda k: "1/0 | " + " ; ".join(["1 1"] * k),
+    "decimal-point": lambda k: "1.5 | " + " ; ".join(["1 1"] * k),
+    "exponent": lambda k: "1e2 | " + " ; ".join(["1 1"] * k),
+    "underscore": lambda k: "1_0 | " + " ; ".join(["1 1"] * k),
+    "spaced-slash": lambda k: "2 / 3 | " + " ; ".join(["1 1"] * k),
+    "plus-sign": lambda k: "+1/2 | " + " ; ".join(["1 1"] * k),
+    "non-ascii-digit": lambda k: f"{_arabic(2)} | " + " ; ".join(["1 1"] * k),
     "degree": lambda k: "1/1 | " + " ; ".join(["1 1"] * (k + 1)),
     "empty-edge": lambda k: "1/1 | 1 1 ; ",
 }
@@ -270,3 +287,34 @@ def test_every_malformed_sum_line_is_named(s, fault, data):
     with pytest.raises(GraphFormatError) as exc:
         parse_formal_sum(text)
     assert exc.value.line == numbers[at]
+
+
+# The two tests above draw their fault classes at random, and 150 draws
+# need not reach every class; these two take each class once.
+@pytest.mark.parametrize("where, name", [("header", f) for f in HEADER_FAULTS]
+                         + [("edge", f) for f in EDGE_FAULTS])
+def test_each_graph_fault_is_refused(where, name):
+    lines = ["D 2 2", "1 2", "2 1"]
+    if where == "header":
+        lines[0] = HEADER_FAULTS[name]("D", 2, 2)
+    else:
+        lines[2] = EDGE_FAULTS[name](2)
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph("\n".join(lines) + "\n")
+    assert exc.value.line == (1 if where == "header" else 3)
+
+
+@pytest.mark.parametrize("where, name", [("header", f) for f in HEADER_FAULTS]
+                         + [("term", f) for f in TERM_FAULTS]
+                         + [("edge", f) for f in EDGE_FAULTS])
+def test_each_sum_fault_is_refused(where, name):
+    lines = ["FS 2 2", "1/2 | 1 2 ; 2 1"]
+    if where == "header":
+        lines[0] = HEADER_FAULTS[name]("FS", 2, 2)
+    elif where == "term":
+        lines.append(TERM_FAULTS[name](2))
+    else:
+        lines.append("1/1 | " + EDGE_FAULTS[name](2) + " ; 1 1")
+    with pytest.raises(GraphFormatError) as exc:
+        parse_formal_sum("\n".join(lines) + "\n")
+    assert exc.value.line == (1 if where == "header" else 3)

@@ -61,7 +61,10 @@ def test_checks_refuse_bad_shape(check, n, k):
     lambda: verify_diag(2, 1, (1.0,)),
     lambda: verify_diag(2, 1, (True,)),
     lambda: verify_kirchhoff_diag(2, (1.0,)),
-], ids=["diag-float", "diag-bool", "kirchhoff_diag-float"])
+    lambda: verify_kirchhoff_codim1(3, 1.0, 2),
+    lambda: verify_derivative(2, 2, True, 1),
+], ids=["diag-float", "diag-bool", "kirchhoff_diag-float", "kirchhoff_codim1-float",
+        "derivative-bool"])
 def test_checks_refuse_non_integer_vertices(check):
     # 1.0 and True equal the vertex 1, but would reach the report's params.
     with pytest.raises(ValueError, match="vertices must be integers"):
