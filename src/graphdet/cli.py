@@ -50,7 +50,7 @@ def _parse_vertex_set(text: str | None) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(sorted({int(tok) for tok in text.replace(",", " ").split()}))
+        return tuple(sorted({_read_number(tok) for tok in text.replace(",", " ").split()}))
     except ValueError:
         raise SystemExit2(f"bad vertex set {text!r}; expected e.g. '1,3'")
 
@@ -58,7 +58,7 @@ def _parse_vertex_set(text: str | None) -> tuple[int, ...]:
 def _parse_minor(text: str) -> tuple[int, int]:
     try:
         i, _, j = text.partition("/")
-        return int(i), int(j)
+        return _read_number(i), _read_number(j)
     except ValueError:
         raise SystemExit2(f"bad minor argument {text!r}; expected 'i/j'")
 
@@ -68,6 +68,14 @@ def _parse_rational(flag: str, text: str) -> Fraction:
         return _read_number(text, rational=True)
     except (ValueError, ZeroDivisionError):
         raise SystemExit2(f"bad {flag} value {text!r}; expected a rational, e.g. -1/2")
+
+
+def _integer(text: str) -> int:
+    """An integer flag value, read in the strict grammar of the files."""
+    try:
+        return _read_number(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 class SystemExit2(Exception):
@@ -292,15 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cap", type=int, default=None, help="enumeration case cap")
+        p.add_argument("--cap", type=_integer, default=None, help="enumeration case cap")
 
     p = sub.add_parser("classify", help="classify a directed graph file")
     p.add_argument("input", help="graph file path, or - for stdin")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("enumerate", help="enumerate graphs or a graph class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--class", dest="cls", choices=["ssc", "ac", "SSC", "AC"])
     p.add_argument("--isolated", help="exact isolated-vertex set for SSC, e.g. '1,3'")
     p.add_argument("--sinks", help="exact sink set for AC")
@@ -309,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("det", help="write a universal determinant/minor element")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     which = p.add_mutually_exclusive_group()
     which.add_argument("--sinks", help="vertex set I of the diagonal minor")
     which.add_argument("--isolated", help="synonym for --sinks")
@@ -341,29 +349,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tutte)
 
     p = sub.add_parser("theta", help="write the mixed-degree element for n vertices")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("-o", "--output")
     common(p)
     p.set_defaults(fn=cmd_theta)
 
     p = sub.add_parser("verify", help="run a single identity check")
     p.add_argument("check", help="check name, e.g. diag, expansion, theta")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=_integer)
+    p.add_argument("--k", type=_integer)
     which = p.add_mutually_exclusive_group()
     which.add_argument("--sinks", help="vertex set I where applicable")
     which.add_argument("--isolated", help="synonym for --sinks")
     p.add_argument("--minor", help="i/j where applicable")
-    p.add_argument("--m", type=int, help="derivative order")
-    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
+    p.add_argument("--m", type=_integer, help="derivative order")
+    p.add_argument("--jobs", type=_integer, default=1, help="accepted; has no effect")
     p.add_argument("--json", help="write the JSON report to this path")
     common(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("suite", help="run the whole desk-scale check grid")
-    p.add_argument("--n", type=int, help="maximum vertex count (default 3)")
-    p.add_argument("--k", type=int, help="maximum edge count (default 4)")
-    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
+    p.add_argument("--n", type=_integer, help="maximum vertex count (default 3)")
+    p.add_argument("--k", type=_integer, help="maximum edge count (default 4)")
+    p.add_argument("--jobs", type=_integer, default=1, help="accepted; has no effect")
     p.add_argument("--json", help="write the JSON report array to this path")
     common(p)
     p.set_defaults(fn=cmd_suite)

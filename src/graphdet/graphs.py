@@ -65,7 +65,7 @@ def effective_cap(cap: int | None = None) -> int:
     if not env:
         return DEFAULT_CAP
     try:
-        limit = int(env)
+        limit = _read_number(env)
     except ValueError:
         limit = -1
     if limit < 0:

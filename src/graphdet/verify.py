@@ -28,7 +28,6 @@ from .algebra import (
     _theta_low,
     class_sum,
     concat_product,
-    distinct_permutations,
     pairing,
     theta,
     universal_codim1,
@@ -153,29 +152,33 @@ def _report(check, params, failures, total, t0, sign=None, notes=(), status=None
 
 
 # ---------------------------------------------------------------------------
-# Whole-domain enumeration.  The subgraph-sum and special-value identities
-# depend on a graph only through its edge multiset, so their case functions
-# run once per multiset and a mismatch is reported for every ordering of it.
+# Whole-domain enumeration.  The identities depend on a graph only through
+# its edge multiset, so their case functions run once per multiset and a
+# mismatch is reported for every ordering of it; only the position-operator
+# laws, which act on edge numbers, run on every sequence.
 
 
 def _enumerate(
-    check, case, n, k, per_case, cap, edge_types=directed_edge_types
+    check, case, n, k, per_case, cap, edge_types=directed_edge_types, numbered=None
 ) -> VerificationReport:
     """Run ``case(n, k, multiset)``, which returns None or the (expected,
-    actual) pair of a mismatch, on every k-edge multiset over
-    ``edge_types(n)``.  Failures are listed per edge sequence, in
-    enumeration order; the cap counts ``per_case`` units per sequence."""
+    actual) pair of a mismatch, once on every k-edge multiset over
+    ``edge_types(n)``, and the per-sequence law ``numbered``, if given, on
+    every edge sequence.  Failures are listed per edge sequence in
+    lexicographic order, a sequence's own law first; the cap counts
+    ``per_case`` units per sequence."""
     check_shape(n, k)
     t0 = time.perf_counter()
     etypes = edge_types(n)
     total = len(etypes) ** k
     check_cap(total * per_case, cap)
+    by_multiset = {m: case(n, k, m) for m in combinations_with_replacement(etypes, k)}
     failures = []
-    for multiset in combinations_with_replacement(etypes, k):
-        bad = case(n, k, multiset)
-        if bad is not None:
-            failures.extend(_failure(seq, *bad) for seq in distinct_permutations(multiset))
-    failures.sort(key=lambda f: f["graph"])
+    if numbered is not None or any(by_multiset.values()):
+        for seq in product(etypes, repeat=k):
+            bad = (numbered and numbered(n, k, seq)) or by_multiset[tuple(sorted(seq))]
+            if bad is not None:
+                failures.append(_failure(seq, *bad))
     return _report(check, {"n": n, "k": k}, failures, total, t0)
 
 
@@ -547,37 +550,39 @@ def verify_theta(n: int, cap=None) -> VerificationReport:
 
 
 def _position_laws(n, k, edges):
-    """The first position-operator law the numbered graph violates, or None:
-    each b_p is idempotent, and every two of them commute."""
+    """The first position-operator law the numbered graph violates, as the
+    (expected, actual) pair of its failure, or None: each b_p is idempotent,
+    and every two of them commute."""
     s = FormalSum.single(DirectedGraph(n, edges))
     singles = [b_op(p, s) for p in range(1, k + 1)]
     for p in range(1, k + 1):
         if b_op(p, singles[p - 1]) != singles[p - 1]:
-            return "idempotent"
+            return "law:idempotent", "violated"
     for p in range(1, k + 1):
         for q in range(p + 1, k + 1):
             if b_op(q, singles[p - 1]) != b_op(p, singles[q - 1]):
-                return "commute"
+                return "law:commute", "violated"
     return None
 
 
 def _multiset_laws(n, k, multiset):
-    """The first numbering-free law the graph violates, or None: the Laplace
-    operator is idempotent, its image is loop-free with the graph's sinks,
-    and pairing with the zero-row-sum matrix factors through it."""
+    """The first numbering-free law the graph violates, as the (expected,
+    actual) pair of its failure, or None: the Laplace operator is
+    idempotent, its image is loop-free with the graph's sinks, and pairing
+    with the zero-row-sum matrix factors through it."""
     W, Wh = _matrices(n)
     g = DirectedGraph(n, multiset)
     s = FormalSum.single(g)
     ds = laplace(s)
     if laplace(ds) != ds:
-        return "laplace-idempotent"
+        return "law:laplace-idempotent", "violated"
     gsinks = classify(g).sinks
     for h in ds.support():
         ch = classify(h)
         if ch.loop_count or ch.sinks != gsinks:
-            return "support"
+            return "law:support", "violated"
     if pairing(Wh, s) != pairing(W, ds):
-        return "pairing"
+        return "law:pairing", "violated"
     return None
 
 
@@ -586,20 +591,9 @@ def verify_operator_laws(n: int, k: int, cap=None) -> VerificationReport:
     idempotent with loop-free sink-preserving output, and pairing with the
     zero-row-sum matrix factors through it; on the full graph basis.  A graph
     violating a position law is reported under that law's name."""
-    check_shape(n, k)
-    t0 = time.perf_counter()
-    etypes = directed_edge_types(n)
-    total = len(etypes) ** k
-    check_cap(total * (k * k + 2), cap)
-    by_multiset = {
-        m: _multiset_laws(n, k, m) for m in combinations_with_replacement(etypes, k)
-    }
-    failures = []
-    for edges in product(etypes, repeat=k):
-        bad = _position_laws(n, k, edges) or by_multiset[tuple(sorted(edges))]
-        if bad is not None:
-            failures.append(_failure(edges, f"law:{bad}", "violated"))
-    return _report("operator_laws", {"n": n, "k": k}, failures, total, t0)
+    return _enumerate(
+        "operator_laws", _multiset_laws, n, k, k * k + 2, cap, numbered=_position_laws
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +685,6 @@ def run_suite(config: SuiteConfig) -> list[VerificationReport]:
             reports.append(run_check(name, params, cap=config.cap))
         except CapExceeded:
             reports.append(
-                VerificationReport(
-                    check=name,
-                    params=params,
-                    status="skipped",
-                    sign=None,
-                    total_cases=0,
-                    failures=[],
-                    elapsed_ms=0,
-                )
+                _report(name, params, [], 0, time.perf_counter(), status="skipped")
             )
     return reports

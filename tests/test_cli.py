@@ -378,11 +378,50 @@ def test_out_of_range_exits_2(capsys, argv, message):
     ("abc", [], "GRAPHDET_CAP"),
     ("-1", [], "GRAPHDET_CAP"),
     ("100", ["--cap", "-1"], "cap argument"),
-], ids=["env-text", "env-negative", "flag-negative"])
+    (" 1_0 ", [], "GRAPHDET_CAP"),
+    ("+10", [], "GRAPHDET_CAP"),
+    ("\u0661\u0660", [], "GRAPHDET_CAP"),
+], ids=["env-text", "env-negative", "flag-negative", "env-underscore", "env-plus",
+        "env-non-ascii"])
 def test_bad_cap_exits_2(monkeypatch, capsys, env, flags, source):
     monkeypatch.setenv("GRAPHDET_CAP", env)
     code, out, err = run(capsys, "verify", "diag", "--n", "2", "--k", "1", *flags)
     assert code == 2 and out == "" and source in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["det", "--n", "2", "--k", "1", "--minor", "\u0661/+2"], "bad minor argument"),
+    (["det", "--n", "2", "--k", "1", "--minor", "1/ 2"], "bad minor argument"),
+    (["det", "--n", "2", "--k", "1", "--sinks", "0_1"], "bad vertex set"),
+    (["enumerate", "--n", "2", "--k", "1", "--class", "ac", "--sinks", "+1"],
+     "bad vertex set"),
+    (["verify", "diag", "--n", "2", "--k", "1", "--sinks", "\u0661"], "bad vertex set"),
+], ids=["minor-non-ascii-plus", "minor-space", "sinks-underscore", "enumerate-plus",
+        "verify-non-ascii"])
+def test_vertex_arguments_outside_the_integer_grammar_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["verify", "diag", "--n", "\u0661", "--k", "2"], "\u0661"),
+    (["verify", "diag", "--n", "2", "--k", "1", "--cap", "1_000"], "1_000"),
+    (["verify", "derivative", "--n", "2", "--k", "2", "--minor", "1/1", "--m", "+1"], "+1"),
+    (["verify", "diag", "--n", "2", "--k", "1", "--jobs", " 1"], " 1"),
+    (["suite", "--n", " 2", "--k", "0"], " 2"),
+    (["suite", "--n", "1", "--k", "0", "--jobs", "\u0662"], "\u0662"),
+    (["enumerate", "--n", "2", "--k", "+1", "--count"], "+1"),
+    (["det", "--n", "2", "--k", "0_1"], "0_1"),
+    (["theta", "--n", "\u0662"], "\u0662"),
+], ids=["verify-n", "verify-cap", "verify-m", "verify-jobs", "suite-n", "suite-jobs",
+        "enumerate-k", "det-k", "theta-n"])
+def test_integer_flags_outside_the_grammar_exit_2(capsys, argv, value):
+    # the flags read the strict grammar of the files, with argparse's message
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"invalid int value: {value!r}" in out.err
 
 
 @pytest.mark.parametrize("command", ["classify", "laplace", "pair"])

@@ -264,10 +264,12 @@ def test_cases_depend_only_on_the_edge_multiset():
 
 
 def test_multiset_walk_lists_every_failing_sequence_in_order(monkeypatch):
-    # flip strong semiconnectivity on one-loop graphs, so the identities
-    # fail on many multisets; the report must list every ordering of each,
-    # in the order of a sequence-by-sequence walk
+    # flip strong semiconnectivity on one-loop graphs, and miscount the
+    # semiconnected orientations of one-loop undirected graphs, so the
+    # identities fail on many multisets; the report must list every
+    # ordering of each, in the order of a sequence-by-sequence walk
     classify_key = verify._classify_key
+    orientation_counts = verify._orientation_counts
 
     def flipped(n, key):
         c = classify_key(n, key)
@@ -275,11 +277,17 @@ def test_multiset_walk_lists_every_failing_sequence_in_order(monkeypatch):
             return c
         return dataclasses.replace(c, strongly_semiconnected=not c.strongly_semiconnected)
 
+    def miscounted(u, cap):
+        ssc, ac = orientation_counts(u, cap)
+        return ssc + (sum(a == b for a, b in u.edges) == 1), ac
+
     monkeypatch.setattr(verify, "_classify_key", flipped)
-    for name, case in MULTISET_CASES.items():
+    monkeypatch.setattr(verify, "_orientation_counts", miscounted)
+    for name, case in dict(MULTISET_CASES, specval=_specval_case).items():
+        edge_types = undirected_edge_types if name == "specval" else directed_edge_types
         for n, k in [(2, 3), (3, 2), (2, 4)]:
             want = []
-            for seq in product(directed_edge_types(n), repeat=k):
+            for seq in product(edge_types(n), repeat=k):
                 bad = case(n, k, seq)
                 if bad is not None:
                     want.append(_failure(seq, *bad))
@@ -319,9 +327,9 @@ def test_operator_laws_list_every_failing_sequence_in_order(monkeypatch):
             both += position is not None and multiset is not None
             bad = position or multiset
             if bad is not None:
-                names.add(bad)
-                want.append(_failure(seq, f"law:{bad}", "violated"))
-        assert both and {"idempotent", "support"} <= names
+                names.add(bad[0])
+                want.append(_failure(seq, *bad))
+        assert both and {"law:idempotent", "law:support"} <= names
         assert run_check("operator_laws", {"n": n, "k": k}).failures == want
 
 
@@ -341,8 +349,8 @@ def test_operator_laws_catch_a_fault_only_commute_sees(monkeypatch):
         for seq in product(directed_edge_types(n), repeat=k):
             bad = _position_laws(n, k, seq) or _multiset_laws(n, k, seq)
             if bad is not None:
-                assert bad == "commute"
-                want.append(_failure(seq, "law:commute", "violated"))
+                assert bad == ("law:commute", "violated")
+                want.append(_failure(seq, *bad))
         assert len(want) == count
         assert run_check("operator_laws", {"n": n, "k": k}).failures == want
 
@@ -559,9 +567,13 @@ def test_suite_marks_capped_cells_skipped():
     cfg = SuiteConfig(max_n=2, max_k=2, cap=5)
     reports = run_suite(cfg)
     assert any(r.status == "skipped" for r in reports)
-    for r in reports:
+    for (name, params), r in zip(suite_cells(cfg), reports):
         if r.status == "skipped":
-            assert r.total_cases == 0 and not r.failures and not r.vacuous
+            assert r.to_json_dict() == {
+                "check": name, "params": params, "status": "skipped", "sign": None,
+                "total_cases": 0, "failures": [], "elapsed_ms": 0,
+            }
+            assert r.notes == () and not r.vacuous
 
 
 def test_suite_config_validation():
