@@ -9,7 +9,6 @@ from .graphs import (
     beta0,
     beta1,
     classify,
-    enumerate_class,
     enumerate_graphs,
     enumerate_undirected,
     forget,
@@ -22,6 +21,7 @@ from .algebra import (
     GradedElement,
     SymmetricSum,
     concat_product,
+    enumerate_class,
     forget_sum,
     format_formal_sum,
     pairing,

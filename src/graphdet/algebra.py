@@ -29,6 +29,7 @@ addition with a FormalSum.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +41,7 @@ from .graphs import (
     GraphClassification,
     GraphFormatError,
     UndirectedGraph,
-    _class_test,
+    _class_name,
     _classify,
     _read_edge,
     _read_header,
@@ -465,7 +466,7 @@ def _alpha_sigma(c: GraphClassification, k: int) -> tuple[int, int]:
 # sink set, depend only on the multiset of its edges.  So instead of walking
 # all n^(2k) sequences we walk the C(n^2+k-1, k) multisets once per (n, k),
 # classify each once and file it by class and vertex set; every class sum
-# takes its terms from those files.
+# takes its terms from those files, and ``enumerate_class`` its graphs.
 
 
 def distinct_permutations(items: tuple) -> Iterator[tuple]:
@@ -486,15 +487,14 @@ def _class_walk(n: int, k: int) -> dict:
     """Every k-edge multiset, classified once and filed with its sign
     (-1)^beta0 under (class, vertex set) for each class whose test it
     passes: ("SSC", isolated set) and ("AC", sink set)."""
-    tests = [_class_test(cls) for cls in ("SSC", "AC")]
     buckets: dict = {}
     for multiset in itertools.combinations_with_replacement(directed_edge_types(n), k):
         c = _classify(n, multiset)
         sign = -1 if c.beta0 % 2 else 1
-        for cls, member in tests:
-            vs = member(c)
-            if vs is not None:
-                buckets.setdefault((cls, vs), {})[multiset] = sign
+        if c.strongly_semiconnected:
+            buckets.setdefault(("SSC", c.isolated), {})[multiset] = sign
+        if c.acyclic:
+            buckets.setdefault(("AC", c.sinks), {})[multiset] = sign
     return buckets
 
 
@@ -509,7 +509,7 @@ def class_sum(
     """U- or X-style sum over a semiconnectivity/acyclicity class, read
     from the walk at (n, k) once its C(n^2+k-1, k) multisets are within
     the cap."""
-    cls, _ = _class_test(cls)
+    cls = _class_name(cls)
     key = None if I is None else (cls, _vertex_set(n, I))
     check_shape(n, k)
     check_cap(comb(n * n + k - 1, k), cap)
@@ -518,6 +518,27 @@ def class_sum(
     signs = {m: c for b in keys for m, c in buckets.get(b, {}).items()}
     terms = signs if signed else dict.fromkeys(signs, 1)
     return SymmetricSum._wrap(n, k, terms)
+
+
+def enumerate_class(
+    n: int,
+    k: int,
+    cls: str,
+    I: Iterable[int] | None = None,
+    cap: int | None = None,
+) -> Iterator[DirectedGraph]:
+    """The strongly semiconnected (cls="SSC") or acyclic ("AC") graphs, in
+    lexicographic order of the edge sequence: every numbering of each
+    multiset that ``class_sum`` reads, merged.  For SSC, I is the exact
+    isolated-vertex set; for AC the exact sink set; None takes every set.
+    The cap counts the n^(2k) sequences and is checked before the walk."""
+    _class_name(cls)
+    I = None if I is None else _vertex_set(n, I)
+    check_shape(n, k)
+    check_cap((n * n) ** k, cap)
+    members = class_sum(n, k, cls, I, cap=cap)._terms
+    for edges in heapq.merge(*map(distinct_permutations, members)):
+        yield DirectedGraph(n, edges)
 
 
 def universal_det(

@@ -15,6 +15,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .algebra import (
+    enumerate_class,
     format_formal_sum,
     pairing,
     parse_formal_sum,
@@ -29,7 +30,6 @@ from .graphs import (
     _read_number,
     check_cap,
     classify,
-    enumerate_class,
     enumerate_graphs,
     forget,
     parse_graph,
@@ -76,6 +76,13 @@ def _integer(text: str) -> int:
         return _read_number(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _jobs(text: str) -> int:
+    """A --jobs value: an integer of at least 1, though it has no effect."""
+    if (jobs := _integer(text)) < 1:
+        raise argparse.ArgumentTypeError(f"need jobs >= 1, got {text!r}")
+    return jobs
 
 
 class SystemExit2(Exception):
@@ -363,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--isolated", help="synonym for --sinks")
     p.add_argument("--minor", help="i/j where applicable")
     p.add_argument("--m", type=_integer, help="derivative order")
-    p.add_argument("--jobs", type=_integer, default=1, help="accepted; has no effect")
+    p.add_argument("--jobs", type=_jobs, default=1, help="accepted; has no effect")
     p.add_argument("--json", help="write the JSON report to this path")
     common(p)
     p.set_defaults(fn=cmd_verify)
@@ -371,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the whole desk-scale check grid")
     p.add_argument("--n", type=_integer, help="maximum vertex count (default 3)")
     p.add_argument("--k", type=_integer, help="maximum edge count (default 4)")
-    p.add_argument("--jobs", type=_integer, default=1, help="accepted; has no effect")
+    p.add_argument("--jobs", type=_jobs, default=1, help="accepted; has no effect")
     p.add_argument("--json", help="write the JSON report array to this path")
     common(p)
     p.set_defaults(fn=cmd_suite)

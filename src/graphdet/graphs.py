@@ -353,37 +353,13 @@ def _vertex_set(n: int, I: Iterable[int]) -> frozenset[int]:
     return frozenset(_vertex(n, v) for v in I)
 
 
-def _class_test(cls: str):
-    """The class named "SSC" or "AC", in either case: its upper-case name
-    and its membership test, which maps a classification to the vertex set
-    that files a member (its isolated vertices if strongly semiconnected,
-    its sinks if acyclic) and a non-member to None."""
+def _class_name(cls: str) -> str:
+    """The class named "SSC" (strongly semiconnected) or "AC" (acyclic), in
+    either case, as its upper-case name."""
     cls = cls.upper()
-    if cls == "SSC":
-        return cls, lambda c: c.isolated if c.strongly_semiconnected else None
-    if cls == "AC":
-        return cls, lambda c: c.sinks if c.acyclic else None
-    raise ValueError(f"unknown graph class {cls!r}")
-
-
-def enumerate_class(
-    n: int,
-    k: int,
-    cls: str,
-    I: Iterable[int] | None = None,
-    cap: int | None = None,
-) -> Iterator[DirectedGraph]:
-    """Filtered enumeration of the strongly-semiconnected or acyclic graphs.
-
-    For cls="SSC", I is the exact isolated-vertex set; for cls="AC" the exact
-    sink set.  I=None takes the union over all vertex sets.
-    """
-    _, member = _class_test(cls)
-    target = None if I is None else _vertex_set(n, I)
-    for g in enumerate_graphs(n, k, cap=cap):
-        vs = member(classify(g))
-        if vs is not None and (target is None or vs == target):
-            yield g
+    if cls not in ("SSC", "AC"):
+        raise ValueError(f"unknown graph class {cls!r}")
+    return cls
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from .algebra import SymmetricSum
 from .graphs import (
     UndirectedGraph,
     _beta0,
-    _class_test,
+    _class_name,
     _merge_vertices,
     check_cap,
     check_shape,
@@ -89,7 +89,7 @@ def _tutte(n: int, edges: tuple) -> MultiPoly:
 def count_orientations(u: UndirectedGraph, cls: str, cap: int | None = None) -> int:
     """Number of orientations of u that are strongly semiconnected ("SSC")
     or acyclic ("AC"), by brute enumeration."""
-    cls, _ = _class_test(cls)
+    cls = _class_name(cls)
     ssc, ac = _orientation_counts(u, cap)
     return ssc if cls == "SSC" else ac
 

@@ -203,7 +203,19 @@ def test_distinct_permutations():
             assert list(distinct_permutations(m)) == sorted(set(permutations(m)))
 
 
+def _stream_filter(n, k, cls, I):
+    """The class the slow way: classify every numbered graph, in order."""
+    for g in enumerate_graphs(n, k):
+        c = classify(g)
+        member = c.strongly_semiconnected if cls == "SSC" else c.acyclic
+        vs = c.isolated if cls == "SSC" else c.sinks
+        if member and (I is None or vs == frozenset(I)):
+            yield g
+
+
 def test_class_sum_matches_stream_filter():
+    # the walk against an independent per-sequence filter, which also
+    # fixes the order enumerate_class lists the graphs in
     for n in (1, 2, 3):
         vertex_sets = [None] + [
             I for size in range(n + 1) for I in combinations(range(1, n + 1), size)
@@ -211,9 +223,10 @@ def test_class_sum_matches_stream_filter():
         for k in range(5):
             for cls in ("SSC", "AC"):
                 for I in vertex_sets:
-                    stream = list(enumerate_class(n, k, cls, I))
+                    stream = list(_stream_filter(n, k, cls, I))
                     assert class_sum(n, k, cls, I) == u_sum(stream, n=n, k=k)
                     assert class_sum(n, k, cls, I, signed=True) == x_sum(stream, n=n, k=k)
+                    assert list(enumerate_class(n, k, cls, I)) == stream
 
 
 @pytest.mark.parametrize("build", [
@@ -264,6 +277,23 @@ def test_one_classified_walk_per_degree(monkeypatch):
     cached = len(graphs._DIR_CACHE)
     theta(3)
     assert len(calls) == len(set(calls)) == 495 + 45 + 9
+    assert len(graphs._DIR_CACHE) == cached
+
+
+def test_enumerate_class_classifies_each_multiset_once(monkeypatch):
+    # listing a class reads the walk: at most C(12,4) classifications for
+    # (3, 4), not one per each of the 9^4 numbered graphs, and the
+    # classification cache stays as it is
+    calls = []
+    for module, name in ((algebra, "_classify"), (graphs, "classify")):
+        def counted(*args, original=getattr(module, name)):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+    algebra._class_walk.cache_clear()
+    cached = len(graphs._DIR_CACHE)
+    assert len(list(enumerate_class(3, 4, "AC"))) > 0
+    assert len(calls) <= 495
     assert len(graphs._DIR_CACHE) == cached
 
 

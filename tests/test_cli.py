@@ -374,6 +374,32 @@ def test_out_of_range_exits_2(capsys, argv, message):
     assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["--n", "3", "--k", "4", "--class", "ac", "--sinks", "5", "--cap", "10"], 2,
+     "vertex out of range"),
+    (["--n", "3", "--k", "4", "--class", "ssc", "--cap", "100"], 3,
+     "enumeration of 6561 cases exceeds the cap of 100"),
+    (["--n", "-5", "--k", "8", "--class", "ac"], 2, SHAPE),
+], ids=["vertex-before-cap", "cap-counts-sequences", "shape"])
+def test_enumerate_class_refuses_in_order(capsys, argv, code, message):
+    # the vertex set, then the shape, then the cap on the numbered graphs
+    # listed, not on the multisets behind them
+    assert run(capsys, "enumerate", *argv) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "diag", "--n", "2", "--k", "1", "--jobs", "-3"],
+    ["verify", "diag", "--n", "2", "--k", "1", "--jobs", "0"],
+    ["suite", "--n", "1", "--k", "0", "--jobs", "0"],
+], ids=["verify-negative", "verify-zero", "suite-zero"])
+def test_jobs_below_1_exit_2(capsys, argv):
+    # --jobs has no effect, but verify and suite refuse the same values
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and "need jobs >= 1" in out.err
+
+
 @pytest.mark.parametrize("env, flags, source", [
     ("abc", [], "GRAPHDET_CAP"),
     ("-1", [], "GRAPHDET_CAP"),
