@@ -24,12 +24,13 @@ entries along each graph's edges, work on the multisets directly.  A
 SymmetricSum is expanded into the FormalSum over its numberings only where
 edge order matters: ``concat_product``, ``b_op``, ``map_graphs`` and
 ``forget_sum``, text output, ``terms()``/``support()``, and comparison or
-addition with a FormalSum.
+addition with a FormalSum.  ``numbered`` lists the numberings of many
+multisets in one lexicographic walk, for ``expand``, ``diff`` and
+``enumerate_class``, and nothing sorts or merges what it yields.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -65,8 +66,9 @@ class _LinearSum:
     ``terms()`` and ``diff`` return Fractions.  n, k and the graph kind live
     on the sum alone.  A subclass supplies ``_key(edges)``, the key of a
     graph's edges, ``_count(keys)``, the numbered graphs those keys stand
-    for, ``_numberings(key)``, the edge sequences of one key, and
-    ``expand()``.  Graph objects are built from keys only on the way out.
+    for, ``_numbered(terms)``, the (edge sequence, value) pairs of a dict
+    from keys to values, in lexicographic order, and ``expand()``.  Graph
+    objects are built from keys only on the way out.
     """
 
     __slots__ = ("n", "k", "kind", "_terms")
@@ -136,13 +138,12 @@ class _LinearSum:
         if type(other) is not type(self):
             return self.expand().diff(other.expand())
         keys = set(self._terms) | set(other._terms)
-        out = []
+        differ = {}
         for key in keys:
             a, b = self._terms.get(key, 0), other._terms.get(key, 0)
             if a != b:
-                a, b = Fraction(a), Fraction(b)
-                out.extend((seq, a, b) for seq in self._numberings(key))
-        out.sort(key=lambda d: d[0])
+                differ[key] = (Fraction(a), Fraction(b))
+        out = [(seq, a, b) for seq, (a, b) in self._numbered(differ)]
         return out, self._count(keys)
 
     def __eq__(self, other):
@@ -253,8 +254,8 @@ class FormalSum(_LinearSum):
         return len(keys)
 
     @staticmethod
-    def _numberings(key: tuple) -> tuple:
-        return (key,)
+    def _numbered(terms: dict) -> list[tuple]:
+        return sorted(terms.items())
 
 
 def _common_kind(s1, s2):
@@ -282,6 +283,24 @@ def multiplicity_factor(multiset: tuple) -> int:
 def orderings(multiset: tuple) -> int:
     """Number of distinct orderings of a sorted tuple: k! / m(multiset)."""
     return factorial(len(multiset)) // multiplicity_factor(multiset)
+
+
+def numbered(terms: dict) -> Iterator[tuple]:
+    """(edge sequence, value) for every distinct ordering of every key of
+    terms, sorted edge tuples of one length, in lexicographic order: the
+    sequences that start with edge e are e followed by the numberings of
+    {key less one copy of e : key holds e}."""
+    if len(next(iter(terms), ())) <= 1:  # each key is its only ordering
+        yield from sorted(terms.items())
+        return
+    rests: dict = {}
+    for key, value in terms.items():
+        for i, e in enumerate(key):
+            if i == 0 or e != key[i - 1]:
+                rests.setdefault(e, {})[key[:i] + key[i + 1:]] = value
+    for e in sorted(rests):
+        for seq, value in numbered(rests[e]):
+            yield (e,) + seq, value
 
 
 class SymmetricSum(_LinearSum):
@@ -326,12 +345,7 @@ class SymmetricSum(_LinearSum):
         ``len(self)``; the queries that expand implicitly use the default
         cap."""
         check_cap(len(self), cap)
-        terms = {
-            seq: c
-            for multiset, c in self._terms.items()
-            for seq in distinct_permutations(multiset)
-        }
-        return FormalSum._wrap(self.n, self.k, terms, self.kind)
+        return FormalSum._wrap(self.n, self.k, dict(numbered(self._terms)), self.kind)
 
     @staticmethod
     def _key(edges: tuple) -> tuple:
@@ -341,9 +355,7 @@ class SymmetricSum(_LinearSum):
     def _count(keys) -> int:
         return sum(orderings(m) for m in keys)
 
-    @staticmethod
-    def _numberings(key: tuple) -> Iterator[tuple]:
-        return distinct_permutations(key)
+    _numbered = staticmethod(numbered)
 
 
 def concat_product(s1, s2) -> FormalSum:
@@ -466,20 +478,7 @@ def _alpha_sigma(c: GraphClassification, k: int) -> tuple[int, int]:
 # sink set, depend only on the multiset of its edges.  So instead of walking
 # all n^(2k) sequences we walk the C(n^2+k-1, k) multisets once per (n, k),
 # classify each once and file it by class and vertex set; every class sum
-# takes its terms from those files, and ``enumerate_class`` its graphs.
-
-
-def distinct_permutations(items: tuple) -> Iterator[tuple]:
-    """All distinct orderings of a multiset, in lexicographic order: each
-    place takes the values left in sorted order, skipping a value equal to
-    its left neighbour."""
-    pool = tuple(sorted(items))
-    if not pool:
-        yield ()
-    for i, x in enumerate(pool):
-        if i == 0 or x != pool[i - 1]:
-            for rest in distinct_permutations(pool[:i] + pool[i + 1:]):
-                yield (x,) + rest
+# takes its terms from those files, and ``enumerate_class`` walks them once.
 
 
 @lru_cache(maxsize=None)
@@ -528,8 +527,8 @@ def enumerate_class(
     cap: int | None = None,
 ) -> Iterator[DirectedGraph]:
     """The strongly semiconnected (cls="SSC") or acyclic ("AC") graphs, in
-    lexicographic order of the edge sequence: every numbering of each
-    multiset that ``class_sum`` reads, merged.  For SSC, I is the exact
+    lexicographic order of the edge sequence: the ``numbered`` walk over
+    the multisets that ``class_sum`` reads.  For SSC, I is the exact
     isolated-vertex set; for AC the exact sink set; None takes every set.
     The cap counts the n^(2k) sequences and is checked before the walk."""
     _class_name(cls)
@@ -537,7 +536,7 @@ def enumerate_class(
     check_shape(n, k)
     check_cap((n * n) ** k, cap)
     members = class_sum(n, k, cls, I, cap=cap)._terms
-    for edges in heapq.merge(*map(distinct_permutations, members)):
+    for edges, _ in numbered(members):
         yield DirectedGraph(n, edges)
 
 

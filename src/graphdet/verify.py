@@ -52,6 +52,7 @@ from .poly import MultiPoly, WeightMatrix, laplace_matrix, minor, w
 from .potts import _orientation_counts, _potts_sum, _subset_counts, shave, universal_potts
 
 EXPECTED_SIGNS = {"expansion": -1, "derivative": -1}
+_FAILURES_SHOWN = 20
 
 
 @dataclass
@@ -85,7 +86,7 @@ class VerificationReport:
         """Every field but the notes, in field order."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "notes"}
 
-    def human(self, max_failures: int = 20) -> str:
+    def human(self) -> str:
         ptxt = " ".join(f"{k}={v}" for k, v in self.params.items())
         head = f"[{self.status}] {self.check} {ptxt} cases={self.total_cases}"
         if self.vacuous:
@@ -95,13 +96,13 @@ class VerificationReport:
         head += f" elapsed={self.elapsed_ms}ms"
         lines = [head]
         lines.extend(f"    note: {n}" for n in self.notes)
-        for f in self.failures[:max_failures]:
+        for f in self.failures[:_FAILURES_SHOWN]:
             lines.append(
                 f"    FAIL graph={f['graph']} expected={f['expected']}"
                 f" actual={f['actual']}"
             )
-        if len(self.failures) > max_failures:
-            lines.append(f"    ... and {len(self.failures) - max_failures} more")
+        if len(self.failures) > _FAILURES_SHOWN:
+            lines.append(f"    ... and {len(self.failures) - _FAILURES_SHOWN} more")
         return "\n".join(lines)
 
 
@@ -314,7 +315,7 @@ def verify_derivative(n: int, k: int, i: int, m: int, cap=None) -> VerificationR
     if not (1 <= m <= k):
         raise ValueError("need 1 <= m <= k")
     t0 = time.perf_counter()
-    W = WeightMatrix.symbolic(n)
+    W, _ = _matrices(n)
     lhs = pairing(W, universal_det(n, k, (), cap=cap)).derivative(w(i, i), m)
     bracket = pairing(
         W, universal_det(n, k - m, (), cap=cap) + universal_det(n, k - m, (i,), cap=cap)
@@ -347,7 +348,7 @@ def verify_minor_pairing(n: int, cap=None) -> VerificationReport:
     (-1)^|I| times the matrix minor, and the paired (i,j) element equals
     (-1)^(i+j+1) times the (i,j) matrix minor, fully symbolically."""
     t0 = time.perf_counter()
-    W = WeightMatrix.symbolic(n)
+    W, _ = _matrices(n)
     failures = []
     literal_all = True
     cases = 0

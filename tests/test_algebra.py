@@ -1,5 +1,6 @@
 """Formal sums, the concatenation product, and the determinant elements."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
@@ -28,7 +29,7 @@ from graphdet import (
     x_sum,
 )
 from graphdet import algebra, graphs
-from graphdet.algebra import _alpha_sigma, class_sum, distinct_permutations
+from graphdet.algebra import _alpha_sigma, class_sum, numbered
 from graphdet.graphs import directed_edge_types
 
 D = DirectedGraph
@@ -191,16 +192,22 @@ def test_graded_element():
         GradedElement(2, {1: FormalSum.single(UndirectedGraph(2, ((1, 2),)))})
 
 
-def test_distinct_permutations():
-    assert sorted(distinct_permutations((1, 1, 2))) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
-    assert list(distinct_permutations(())) == [()]
-    items = ((1, 2), (1, 2), (2, 1))
-    perms = list(distinct_permutations(items))
-    assert len(perms) == 3 and len(set(perms)) == 3
-    # Lexicographic order, for every multiset of up to five edges on two vertices.
+def test_numbered():
+    assert list(numbered({(1, 1, 2): "v"})) == [
+        ((1, 1, 2), "v"), ((1, 2, 1), "v"), ((2, 1, 1), "v"),
+    ]
+    assert list(numbered({})) == []
+    assert list(numbered({(): "v"})) == [((), "v")]
+    # Lexicographic order, for every multiset of up to five edges on two
+    # vertices alone, and for all multisets of one degree at once, each
+    # ordering paired with its own multiset's value.
     for k in range(6):
-        for m in combinations_with_replacement(directed_edge_types(2), k):
-            assert list(distinct_permutations(m)) == sorted(set(permutations(m)))
+        multisets = list(combinations_with_replacement(directed_edge_types(2), k))
+        for m in multisets:
+            assert list(numbered({m: 1})) == [(p, 1) for p in sorted(set(permutations(m)))]
+        values = {m: i for i, m in enumerate(multisets)}
+        union = sorted((p, values[m]) for m in multisets for p in set(permutations(m)))
+        assert list(numbered(values)) == union
 
 
 def _stream_filter(n, k, cls, I):
@@ -295,6 +302,20 @@ def test_enumerate_class_classifies_each_multiset_once(monkeypatch):
     assert len(list(enumerate_class(3, 4, "AC"))) > 0
     assert len(calls) <= 495
     assert len(graphs._DIR_CACHE) == cached
+
+
+def test_enumerate_class_lists_in_little_memory():
+    # the listing keeps one table per level of the walk, not a generator
+    # per member multiset: about 0.25 MB is traced for AC(4, 4)
+    class_sum(4, 4, "AC")
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_class(4, 4, "AC"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 10_788
+    assert peak < 1_000_000
 
 
 def test_internal_paths_build_no_graphs(monkeypatch):
