@@ -39,7 +39,6 @@ from typing import Callable, Iterable, Iterator
 
 from .graphs import (
     DirectedGraph,
-    GraphClassification,
     GraphFormatError,
     UndirectedGraph,
     _class_name,
@@ -458,17 +457,6 @@ def _stream_sum(graphs, n, k, kind, signed: bool) -> FormalSum:
         g = next(iter(terms))
         n, k = g.n, g.k
     return FormalSum(n, k, terms, kind)
-
-
-def _alpha_sigma(c: GraphClassification, k: int) -> tuple[int, int]:
-    """The acyclicity sign alpha, (-1)^k on acyclic graphs and 0 otherwise,
-    and the semiconnectivity sign sigma, (-1)^beta1 on strongly
-    semiconnected graphs and 0 otherwise, of a graph with k edges and
-    classification c."""
-    return (
-        (-1) ** k if c.acyclic else 0,
-        (-1) ** c.beta1 if c.strongly_semiconnected else 0,
-    )
 
 
 # ---------------------------------------------------------------------------

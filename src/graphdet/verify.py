@@ -14,17 +14,17 @@ payload field except the elapsed time.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 
 from .algebra import (
     FormalSum,
     SymmetricSum,
-    _alpha_sigma,
     _theta_low,
     class_sum,
     concat_product,
@@ -36,6 +36,7 @@ from .algebra import (
 from .graphs import (
     CapExceeded,
     DirectedGraph,
+    GraphClassification,
     UndirectedGraph,
     _beta0,
     _classify_key,
@@ -137,19 +138,43 @@ def _poly_failure(expected: MultiPoly, actual: MultiPoly, label="") -> dict:
     }
 
 
-def _report(check, params, failures, total, t0, sign=None, notes=(), status=None):
-    if status is None:
-        status = "pass" if not failures else "fail"
-    return VerificationReport(
-        check=check,
-        params=params,
-        status=status,
-        sign=sign,
-        total_cases=total,
-        failures=failures,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        notes=tuple(notes),
-    )
+CHECK_FUNCTIONS: dict = {}  # check name -> check, filled by @_check
+
+
+def _check(name: str):
+    """Register the decorated body as the check ``name``.  The body returns
+    (failures, total_cases), and may add a dict with any of status, sign and
+    notes.  The wrapper reads a vertex set I into a tuple, so an iterator
+    reaches the body whole, times the body alone and builds the report: its
+    params are the call's arguments but ``cap``, with I as a sorted list, and
+    its status is "fail" if anything failed, else "pass", unless given."""
+
+    def register(body):
+        sig = inspect.signature(body)
+
+        @wraps(body)
+        def check(*args, **kwargs):
+            call = sig.bind(*args, **kwargs)
+            call.apply_defaults()
+            given = call.arguments
+            if "I" in given:
+                given["I"] = tuple(given["I"])
+            t0 = time.perf_counter()
+            failures, total, *more = body(*call.args, **call.kwargs)
+            elapsed_ms = int((time.perf_counter() - t0) * 1000)
+            info = more[0] if more else {}
+            params = {p: sorted(set(v)) if p == "I" else v
+                      for p, v in given.items() if p != "cap"}
+            return VerificationReport(
+                name, params, info.get("status", "fail" if failures else "pass"),
+                info.get("sign"), total, failures, elapsed_ms, tuple(info.get("notes", ())),
+            )
+
+        check.__signature__ = sig.replace(return_annotation="VerificationReport")
+        CHECK_FUNCTIONS[name] = check
+        return check
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +184,15 @@ def _report(check, params, failures, total, t0, sign=None, notes=(), status=None
 # laws, which act on edge numbers, run on every sequence.
 
 
-def _enumerate(
-    check, case, n, k, per_case, cap, edge_types=directed_edge_types, numbered=None
-) -> VerificationReport:
+def _enumerate(case, n, k, per_case, cap, edge_types=directed_edge_types, numbered=None):
     """Run ``case(n, k, multiset)``, which returns None or the (expected,
     actual) pair of a mismatch, once on every k-edge multiset over
     ``edge_types(n)``, and the per-sequence law ``numbered``, if given, on
     every edge sequence.  Failures are listed per edge sequence in
     lexicographic order, a sequence's own law first; the cap counts
-    ``per_case`` units per sequence."""
+    ``per_case`` units per sequence.  Returns the failures and the number of
+    sequences."""
     check_shape(n, k)
-    t0 = time.perf_counter()
     etypes = edge_types(n)
     total = len(etypes) ** k
     check_cap(total * per_case, cap)
@@ -180,7 +203,7 @@ def _enumerate(
             bad = (numbered and numbered(n, k, seq)) or by_multiset[tuple(sorted(seq))]
             if bad is not None:
                 failures.append(_failure(seq, *bad))
-    return _report(check, {"n": n, "k": k}, failures, total, t0)
+    return failures, total
 
 
 @lru_cache(maxsize=None)
@@ -188,6 +211,17 @@ def _matrices(n: int) -> tuple[WeightMatrix, WeightMatrix]:
     """The symbolic weight matrix and its zero-row-sum companion."""
     W = WeightMatrix.symbolic(n)
     return W, laplace_matrix(W)
+
+
+def _alpha_sigma(c: GraphClassification, k: int) -> tuple[int, int]:
+    """The acyclicity sign alpha, (-1)^k on acyclic graphs and 0 otherwise,
+    and the semiconnectivity sign sigma, (-1)^beta1 on strongly
+    semiconnected graphs and 0 otherwise, of a graph with k edges and
+    classification c."""
+    return (
+        (-1) ** k if c.acyclic else 0,
+        (-1) ** c.beta1 if c.strongly_semiconnected else 0,
+    )
 
 
 def _subset_signs(n: int, k: int, edges: tuple) -> tuple[tuple, tuple]:
@@ -215,15 +249,17 @@ def _direct_prime_case(n, k, edges):
     return _first_mismatch([((-1) ** k * alpha[-1], sum(sigma))])
 
 
-def verify_direct(n: int, k: int, cap=None) -> VerificationReport:
+@_check("direct")
+def verify_direct(n: int, k: int, cap=None):
     """Sum of the acyclicity sign over all subgraphs against the
     semiconnectivity sign of the whole graph, for every (n,k) graph."""
-    return _enumerate("direct", _direct_case, n, k, 2 ** k, cap)
+    return _enumerate(_direct_case, n, k, 2 ** k, cap)
 
 
-def verify_direct_prime(n: int, k: int, cap=None) -> VerificationReport:
+@_check("direct_prime")
+def verify_direct_prime(n: int, k: int, cap=None):
     """The companion identity with the two graph signs exchanged."""
-    return _enumerate("direct_prime", _direct_prime_case, n, k, 2 ** k, cap)
+    return _enumerate(_direct_prime_case, n, k, 2 ** k, cap)
 
 
 def _mobius_case(n, k, edges):
@@ -234,10 +270,11 @@ def _mobius_case(n, k, edges):
     ])
 
 
-def verify_mobius_equiv(n: int, k: int, cap=None) -> VerificationReport:
+@_check("mobius")
+def verify_mobius_equiv(n: int, k: int, cap=None):
     """Both subgraph-sum identities read off one sign table per graph: each
     whole-graph sign is (-1)^k times the subgraph sum of the other."""
-    return _enumerate("mobius", _mobius_case, n, k, 2 ** k, cap)
+    return _enumerate(_mobius_case, n, k, 2 ** k, cap)
 
 
 def _acyclic_image(n: int, k: int, I, cap) -> SymmetricSum:
@@ -246,29 +283,19 @@ def _acyclic_image(n: int, k: int, I, cap) -> SymmetricSum:
     return Fraction((-1) ** n, factorial(k)) * class_sum(n, k, "AC", I, cap=cap)
 
 
-def _image_report(check, params, element, I, cap, t0) -> VerificationReport:
-    """Laplace image of a minor element against the acyclic graphs with
-    sink set I, as exact formal sums."""
-    lhs = laplace(element)
-    failures, total = _sum_diff(lhs, _acyclic_image(element.n, element.k, I, cap))
-    return _report(check, params, failures, total, t0)
-
-
-def verify_diag(n: int, k: int, I=(), cap=None) -> VerificationReport:
+@_check("diag")
+def verify_diag(n: int, k: int, I=(), cap=None):
     """Laplace image of the diagonal minor element against the plain sum of
     acyclic graphs with sink set I."""
-    t0 = time.perf_counter()
-    iso = frozenset(I)
-    element = universal_det(n, k, iso, cap=cap)
-    return _image_report("diag", {"n": n, "k": k, "I": sorted(iso)}, element, iso, cap, t0)
+    return _sum_diff(laplace(universal_det(n, k, I, cap=cap)), _acyclic_image(n, k, I, cap))
 
 
-def verify_codim1(n: int, k: int, i: int, j: int, cap=None) -> VerificationReport:
+@_check("codim1")
+def verify_codim1(n: int, k: int, i: int, j: int, cap=None):
     """Laplace image of the (i,j)-minor element against the acyclic graphs
     whose only sink is i."""
-    t0 = time.perf_counter()
     element = universal_codim1(n, k, i, j, cap=cap)
-    return _image_report("codim1", {"n": n, "k": k, "i": i, "j": j}, element, (i,), cap, t0)
+    return _sum_diff(laplace(element), _acyclic_image(n, k, (i,), cap))
 
 
 def _probe_sign(lhs, rhs_of_sign) -> dict:
@@ -284,12 +311,12 @@ def _probe_sign(lhs, rhs_of_sign) -> dict:
     }
 
 
-def verify_expansion(n: int, k: int, cap=None) -> VerificationReport:
+@_check("expansion")
+def verify_expansion(n: int, k: int, cap=None):
     """Sign-probed row/column expansion: the degree-k determinant element
     against (1/k) times the sum of edge-augmented degree-(k-1) minors."""
     if k < 1:
         raise ValueError("need k >= 1")
-    t0 = time.perf_counter()
     check_cap((n * n) ** k, cap)  # both sides are compared as numbered graphs
     lhs = universal_det(n, k, (), cap=cap).expand(cap)
     total_sum = FormalSum.zero(n, k)
@@ -304,17 +331,17 @@ def verify_expansion(n: int, k: int, cap=None) -> VerificationReport:
     failures, total = _sum_diff(lhs, -rhs_base)
     if probe["status"] != "fail":
         failures = []
-    return _report("expansion", {"n": n, "k": k}, failures, total, t0, **probe)
+    return failures, total, probe
 
 
-def verify_derivative(n: int, k: int, i: int, m: int, cap=None) -> VerificationReport:
+@_check("derivative")
+def verify_derivative(n: int, k: int, i: int, m: int, cap=None):
     """Sign-probed diagonal-derivative law: the m-fold partial derivative of
     the paired determinant in w[i,i] against s^m times the paired sum of the
     two smaller determinant elements."""
     _vertex(n, i)
     if not (1 <= m <= k):
         raise ValueError("need 1 <= m <= k")
-    t0 = time.perf_counter()
     W, _ = _matrices(n)
     lhs = pairing(W, universal_det(n, k, (), cap=cap)).derivative(w(i, i), m)
     bracket = pairing(
@@ -324,9 +351,7 @@ def verify_derivative(n: int, k: int, i: int, m: int, cap=None) -> VerificationR
     failures = []
     if probe["status"] == "fail":
         failures = [_poly_failure((-1) ** m * bracket, lhs)]
-    total = len(lhs.terms()) + len(bracket.terms())
-    params = {"n": n, "k": k, "i": i, "m": m}
-    return _report("derivative", params, failures, total, t0, **probe)
+    return failures, len(lhs.terms()) + len(bracket.terms()), probe
 
 
 def _minor_cases(n: int, cap):
@@ -343,11 +368,11 @@ def _minor_cases(n: int, cap):
                    {i}, {j}, (-1) ** (i + j + 1))
 
 
-def verify_minor_pairing(n: int, cap=None) -> VerificationReport:
+@_check("minor_pairing")
+def verify_minor_pairing(n: int, cap=None):
     """Signed pairing laws: the paired diagonal I-minor element equals
     (-1)^|I| times the matrix minor, and the paired (i,j) element equals
     (-1)^(i+j+1) times the (i,j) matrix minor, fully symbolically."""
-    t0 = time.perf_counter()
     W, _ = _matrices(n)
     failures = []
     literal_all = True
@@ -362,7 +387,7 @@ def verify_minor_pairing(n: int, cap=None) -> VerificationReport:
         if lhs != mnr:
             literal_all = False
     notes = (f"literal unsigned phrasing holds in every case: {literal_all}",)
-    return _report("minor_pairing", {"n": n}, failures, cases, t0, notes=notes)
+    return failures, cases, {"notes": notes}
 
 
 def rooted_forest_poly(n: int, roots) -> MultiPoly:
@@ -393,14 +418,14 @@ def rooted_forest_poly(n: int, roots) -> MultiPoly:
     return MultiPoly(terms)
 
 
-def verify_kirchhoff_diag(n: int, I, cap=None) -> VerificationReport:
+@_check("kirchhoff_diag")
+def verify_kirchhoff_diag(n: int, I, cap=None):
     """Classical diagonal-minor law for the zero-row-sum matrix, against the
     forest sum produced both by the graph-class enumeration and by the
     independent functional forest oracle."""
     iso = frozenset(I)
     if not iso:
         raise ValueError("need a nonempty vertex set")
-    t0 = time.perf_counter()
     s = len(iso)
     k = n - s
     W, Wh = _matrices(n)
@@ -421,13 +446,11 @@ def verify_kirchhoff_diag(n: int, I, cap=None) -> VerificationReport:
         notes.append(f"tree count {got} vs Cayley {expected_count}")
         if got != expected_count:
             failures.append(_failure((), expected_count, got))
-    return _report(
-        "kirchhoff_diag", {"n": n, "I": sorted(iso)}, failures, 2 + (s == 1), t0,
-        notes=notes,
-    )
+    return failures, 2 + (s == 1), {"notes": notes}
 
 
-def verify_kirchhoff_codim1(n: int, i: int, j: int, cap=None) -> VerificationReport:
+@_check("kirchhoff_codim1")
+def verify_kirchhoff_codim1(n: int, i: int, j: int, cap=None):
     """Off-diagonal minor of the zero-row-sum matrix against the sum over
     trees directed towards vertex i, with the derived sign (-1)^(i+j+n-1);
     also records whether the classical (-1)^(n-1) phrasing holds."""
@@ -435,7 +458,6 @@ def verify_kirchhoff_codim1(n: int, i: int, j: int, cap=None) -> VerificationRep
     _vertex(n, j)
     if i == j:
         raise ValueError("need i != j")
-    t0 = time.perf_counter()
     check_cap(n ** (n - 1), cap)  # the oracle's head functions
     W, Wh = _matrices(n)
     trees = rooted_forest_poly(n, {i})
@@ -448,9 +470,7 @@ def verify_kirchhoff_codim1(n: int, i: int, j: int, cap=None) -> VerificationRep
     notes = (
         f"literal (-1)^(n-1) phrasing holds: {literal} (expected iff i+j even)",
     )
-    return _report(
-        "kirchhoff_codim1", {"n": n, "i": i, "j": j}, failures, 1, t0, notes=notes
-    )
+    return failures, 1, {"notes": notes}
 
 
 def _specval_case(n, k, edges):
@@ -468,19 +488,18 @@ def _specval_case(n, k, edges):
     ])
 
 
-def verify_specval(n: int, k: int, cap=None) -> VerificationReport:
+@_check("specval")
+def verify_specval(n: int, k: int, cap=None):
     """Partition-function special values against brute-force orientation
     counts, plus the loop-shaving corollary, over every undirected graph."""
-    return _enumerate(
-        "specval", _specval_case, n, k, 2 ** k * 2, cap, undirected_edge_types
-    )
+    return _enumerate(_specval_case, n, k, 2 ** k * 2, cap, undirected_edge_types)
 
 
-def verify_lapl_tutte(n: int, k: int, cap=None) -> VerificationReport:
+@_check("lapl_tutte")
+def verify_lapl_tutte(n: int, k: int, cap=None):
     """Laplace image of the shaved universal partition-function element at
     (-1,1) against (-1)^k times the plain element at (-1,-1), and loop-free
     support of both sides."""
-    t0 = time.perf_counter()
     lhs = laplace(universal_potts(n, k, -1, 1, shaved=True, cap=cap))
     rhs = (-1) ** k * universal_potts(n, k, -1, -1, shaved=False, cap=cap)
     failures, _ = _sum_diff(lhs, rhs)
@@ -489,11 +508,11 @@ def verify_lapl_tutte(n: int, k: int, cap=None) -> VerificationReport:
             key: c for key, c in side._terms.items() if any(a == b for a, b in key)
         }, side.kind)
         failures.extend(_sum_diff(looped, looped.scale(0))[0])
-    total = (n * (n + 1) // 2) ** k
-    return _report("lapl_tutte", {"n": n, "k": k}, failures, total, t0)
+    return failures, (n * (n + 1) // 2) ** k
 
 
-def verify_theta(n: int, cap=None) -> VerificationReport:
+@_check("theta")
+def verify_theta(n: int, cap=None):
     """The asserted graded identity: Laplace image of the mixed-degree
     element equals -2 times the sum of ALL (n-1)-edge acyclic graphs, with a
     vanishing top part.
@@ -510,7 +529,6 @@ def verify_theta(n: int, cap=None) -> VerificationReport:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    t0 = time.perf_counter()
     th = theta(n, cap=cap)
     hi, lo = laplace(th.part(n + 1)), laplace(th.part(n - 1))
     failures = []
@@ -541,7 +559,7 @@ def verify_theta(n: int, cap=None) -> VerificationReport:
                 law = law - MultiPoly.variable(w(i, j)) * minor(Wh, {i, j}, {i, j})
     notes.append(f"diagonal minor-sum pairing law holds: {paired == law}")
 
-    return _report("theta", {"n": n}, failures, total, t0, notes=notes)
+    return failures, total, {"notes": notes}
 
 
 # ---------------------------------------------------------------------------
@@ -587,36 +605,17 @@ def _multiset_laws(n, k, multiset):
     return None
 
 
-def verify_operator_laws(n: int, k: int, cap=None) -> VerificationReport:
+@_check("operator_laws")
+def verify_operator_laws(n: int, k: int, cap=None):
     """Position operators are commuting idempotents, the Laplace operator is
     idempotent with loop-free sink-preserving output, and pairing with the
     zero-row-sum matrix factors through it; on the full graph basis.  A graph
     violating a position law is reported under that law's name."""
-    return _enumerate(
-        "operator_laws", _multiset_laws, n, k, k * k + 2, cap, numbered=_position_laws
-    )
+    return _enumerate(_multiset_laws, n, k, k * k + 2, cap, numbered=_position_laws)
 
 
 # ---------------------------------------------------------------------------
 # The whole desk-scale grid.
-
-CHECK_FUNCTIONS = {
-    "direct": verify_direct,
-    "direct_prime": verify_direct_prime,
-    "mobius": verify_mobius_equiv,
-    "diag": verify_diag,
-    "codim1": verify_codim1,
-    "expansion": verify_expansion,
-    "derivative": verify_derivative,
-    "minor_pairing": verify_minor_pairing,
-    "kirchhoff_diag": verify_kirchhoff_diag,
-    "kirchhoff_codim1": verify_kirchhoff_codim1,
-    "specval": verify_specval,
-    "lapl_tutte": verify_lapl_tutte,
-    "theta": verify_theta,
-    "operator_laws": verify_operator_laws,
-}
-
 
 @dataclass
 class SuiteConfig:
@@ -685,7 +684,5 @@ def run_suite(config: SuiteConfig) -> list[VerificationReport]:
         try:
             reports.append(run_check(name, params, cap=config.cap))
         except CapExceeded:
-            reports.append(
-                _report(name, params, [], 0, time.perf_counter(), status="skipped")
-            )
+            reports.append(VerificationReport(name, params, "skipped", None, 0, [], 0))
     return reports

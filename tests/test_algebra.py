@@ -29,8 +29,9 @@ from graphdet import (
     x_sum,
 )
 from graphdet import algebra, graphs
-from graphdet.algebra import _alpha_sigma, class_sum, numbered
+from graphdet.algebra import class_sum, numbered
 from graphdet.graphs import directed_edge_types
+from graphdet.verify import _alpha_sigma
 
 D = DirectedGraph
 half = Fraction(1, 2)

@@ -545,6 +545,31 @@ def test_run_check_dispatch():
         run_check("nonsense", {})
 
 
+def test_reports_name_their_cell():
+    for name, params in suite_cells(SuiteConfig(max_n=2, max_k=2)):
+        r = run_check(name, params)
+        assert (r.check, r.params) == (name, params)
+
+
+def test_vertex_set_is_read_once_before_the_check_runs():
+    r = verify_diag(2, 1, iter([2]))
+    assert (r.params["I"], r.status, r.total_cases) == ([2], "pass", 1)
+    r = verify_kirchhoff_diag(3, iter([3, 1]))
+    assert r.ok and r.params["I"] == [1, 3]
+
+
+def test_bad_vertex_is_refused_before_params_are_built():
+    with pytest.raises(ValueError, match="vertices must be integers"):
+        verify_diag(2, 1, (1, "a"))
+    with pytest.raises(ValueError, match="vertices must be integers"):
+        verify_kirchhoff_diag(3, (1, "a"))
+
+
+def test_params_are_the_arguments_but_cap():
+    r = verify_codim1(3, 2, i=1, j=2)
+    assert r.params == {"n": 3, "k": 2, "i": 1, "j": 2}
+
+
 def test_run_check_passes_jobs_only_to_chunking_checks():
     # every check runs serially; run_check accepts jobs and ignores it
     r = run_check("diag", {"n": 2, "k": 1, "I": (2,)}, jobs=2)
