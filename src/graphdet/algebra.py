@@ -578,15 +578,21 @@ def _theta_low(n: int, element: Callable) -> FormalSum:
     """Theta's degree-(n-1) part with ``element(k, I)`` in place of each
     diagonal minor element: minus the sum over i != j of the edge (i,j)
     followed by element(n-2, {i,j}), minus the sum of element(n-1, {i})."""
-    low = FormalSum.zero(n, n - 1)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                edge = FormalSum.single(DirectedGraph(n, ((i, j),)))
-                low = low - concat_product(edge, element(n - 2, (i, j)))
-    for i in range(1, n + 1):
-        low = low - element(n - 1, (i,))
-    return low
+    vertices = range(1, n + 1)
+    edges = [(i, j) for i in vertices for j in vertices if i != j]
+    return _prefixed(n, n - 1, [(-1, (e,), element(n - 2, e)) for e in edges]
+                     + [(-1, (), element(n - 1, (i,))) for i in vertices])
+
+
+def _prefixed(n: int, k: int, parts) -> FormalSum:
+    """The directed degree-k sum, over each (c, prefix, s) of parts, of c
+    times the edge sequence prefix followed by s: every numbered graph seq
+    of s, with coefficient x, adds c * x under prefix + seq.  No graph
+    object is built."""
+    terms: dict = {}
+    for c, prefix, s in parts:
+        _accumulate(terms, ((prefix + seq, c * x) for seq, x in s._numbered(s._terms)))
+    return FormalSum._wrap(n, k, terms)
 
 
 def forget_sum(s: FormalSum) -> FormalSum:

@@ -52,7 +52,7 @@ def _parse_vertex_set(text: str | None) -> tuple[int, ...]:
     try:
         return tuple(sorted({_read_number(tok) for tok in text.replace(",", " ").split()}))
     except ValueError:
-        raise SystemExit2(f"bad vertex set {text!r}; expected e.g. '1,3'")
+        raise ValueError(f"bad vertex set {text!r}; expected e.g. '1,3'")
 
 
 def _parse_minor(text: str) -> tuple[int, int]:
@@ -60,14 +60,14 @@ def _parse_minor(text: str) -> tuple[int, int]:
         i, _, j = text.partition("/")
         return _read_number(i), _read_number(j)
     except ValueError:
-        raise SystemExit2(f"bad minor argument {text!r}; expected 'i/j'")
+        raise ValueError(f"bad minor argument {text!r}; expected 'i/j'")
 
 
 def _parse_rational(flag: str, text: str) -> Fraction:
     try:
         return _read_number(text, rational=True)
     except (ValueError, ZeroDivisionError):
-        raise SystemExit2(f"bad {flag} value {text!r}; expected a rational, e.g. -1/2")
+        raise ValueError(f"bad {flag} value {text!r}; expected a rational, e.g. -1/2")
 
 
 def _integer(text: str) -> int:
@@ -83,10 +83,6 @@ def _jobs(text: str) -> int:
     if (jobs := _integer(text)) < 1:
         raise argparse.ArgumentTypeError(f"need jobs >= 1, got {text!r}")
     return jobs
-
-
-class SystemExit2(Exception):
-    """Usage-level error, mapped to exit code 2."""
 
 
 def _read_text(path: str) -> str:
@@ -115,7 +111,7 @@ def _fmt_set(vs) -> str:
 def cmd_classify(args) -> int:
     g = parse_graph(_read_text(args.input))
     if isinstance(g, UndirectedGraph):
-        raise SystemExit2("classify needs a directed graph file (header 'D n k')")
+        raise ValueError("classify needs a directed graph file (header 'D n k')")
     c = classify(g)
     print(f"n = {g.n}")
     print(f"k = {g.k}")
@@ -136,7 +132,7 @@ def cmd_enumerate(args) -> int:
     for flag, value, owner in (("--isolated", args.isolated, "SSC"),
                                ("--sinks", args.sinks, "AC")):
         if value is not None and cls != owner:
-            raise SystemExit2(f"{flag} needs --class {owner.lower()}")
+            raise ValueError(f"{flag} needs --class {owner.lower()}")
     if cls:
         given = args.isolated if cls == "SSC" else args.sinks
         I = None if given is None else _parse_vertex_set(given)
@@ -182,7 +178,7 @@ def cmd_laplace(args) -> int:
 def cmd_pair(args) -> int:
     s = parse_formal_sum(_read_text(args.input))
     if s.kind is UndirectedGraph:
-        raise SystemExit2("pairing is defined for directed sums (header 'FS')")
+        raise ValueError("pairing is defined for directed sums (header 'FS')")
     # pairing reads the size and the entries on the sum's edges, so the
     # generic matrix builds entry (i, j) = w[i,j] only when asked for it.
     generic = SimpleNamespace(n=s.n, entry=lambda i, j: MultiPoly.variable(w(i, j)))
@@ -244,7 +240,7 @@ _CHECK_FLAGS = {"n": "--n", "k": "--k", "I": "--sinks", "m": "--m",
 def cmd_verify(args) -> int:
     name = args.check.replace("-", "_")
     if name not in CHECK_FUNCTIONS:
-        raise SystemExit2(
+        raise ValueError(
             f"unknown check {args.check!r}; known: {', '.join(sorted(CHECK_FUNCTIONS))}"
         )
     # The check's signature says what it takes: a parameter without a
@@ -258,34 +254,26 @@ def cmd_verify(args) -> int:
     if args.minor:
         given["i"], given["j"] = _parse_minor(args.minor)
         if diagonal and given["i"] != given["j"]:
-            raise SystemExit2(f"check {args.check!r} needs a diagonal --minor i/i")
+            raise ValueError(f"check {args.check!r} needs a diagonal --minor i/i")
     unused = [flags[p] for p, v in given.items()
               if v is not None and p not in sig and not (diagonal and p == "j")]
     if unused:
         extra = ", ".join(dict.fromkeys(unused))
-        raise SystemExit2(f"check {args.check!r} takes no {extra}")
+        raise ValueError(f"check {args.check!r} takes no {extra}")
     params = {p: given[p] for p in sig if given.get(p) is not None}
     missing = [flags[p] for p, spec in sig.items()
                if p in flags and p not in params and spec.default is spec.empty]
     if missing:
         need = " and ".join(dict.fromkeys(missing))
-        raise SystemExit2(f"check {args.check!r} needs {need}")
+        raise ValueError(f"check {args.check!r} needs {need}")
     with _output(args.json) as fh:
-        try:
-            report = run_check(name, params, cap=args.cap)
-        except (ValueError, KeyError) as exc:
-            raise SystemExit2(str(exc))
+        report = run_check(name, params, cap=args.cap)
         _report_out([report], args, fh)
     return 0 if report.ok else 1
 
 
 def cmd_suite(args) -> int:
-    config = SuiteConfig(
-        max_n=args.n if args.n is not None else 3,
-        max_k=args.k if args.k is not None else 4,
-        jobs=args.jobs,
-        cap=args.cap,
-    )
+    config = SuiteConfig(max_n=args.n, max_k=args.k, cap=args.cap)
     with _output(args.json) as fh:
         reports = run_suite(config)
         _report_out(reports, args, fh)
@@ -376,8 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("suite", help="run the whole desk-scale check grid")
-    p.add_argument("--n", type=_integer, help="maximum vertex count (default 3)")
-    p.add_argument("--k", type=_integer, help="maximum edge count (default 4)")
+    p.add_argument("--n", type=_integer, default=SuiteConfig.max_n,
+                   help="maximum vertex count (default %(default)s)")
+    p.add_argument("--k", type=_integer, default=SuiteConfig.max_k,
+                   help="maximum edge count (default %(default)s)")
     p.add_argument("--jobs", type=_jobs, default=1, help="accepted; has no effect")
     p.add_argument("--json", help="write the JSON report array to this path")
     common(p)
@@ -394,8 +384,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SystemExit2, OSError, ValueError) as exc:
-        # GraphFormatError is a ValueError, FileNotFoundError an OSError.
+    except (OSError, ValueError) as exc:
+        # A usage error is a ValueError, as is GraphFormatError;
+        # FileNotFoundError is an OSError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

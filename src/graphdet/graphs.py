@@ -74,8 +74,9 @@ def effective_cap(cap: int | None = None) -> int:
 
 
 def check_shape(n: int, k: int) -> None:
-    """Refuse a vertex count below 1 or a negative edge count."""
-    if n < 1 or k < 0:
+    """Refuse a vertex count below 1 or a negative edge count, and sizes
+    that are not ints; a bool is not an int here."""
+    if type(n) is not int or type(k) is not int or n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
 
 

@@ -44,7 +44,7 @@ def _subset_counts(u: UndirectedGraph, cap: int | None) -> dict[tuple[int, int],
 def potts(u: UndirectedGraph, cap: int | None = None) -> MultiPoly:
     """Subgraph-expansion polynomial in q and v."""
     return MultiPoly({
-        ((Q, b0),) if size == 0 else ((Q, b0), (V, size)): count
+        ((Q, b0), (V, size)): count
         for (b0, size), count in _subset_counts(u, cap).items()
     })
 

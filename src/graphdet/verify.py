@@ -25,9 +25,9 @@ from math import factorial
 from .algebra import (
     FormalSum,
     SymmetricSum,
+    _prefixed,
     _theta_low,
     class_sum,
-    concat_product,
     pairing,
     theta,
     universal_codim1,
@@ -319,14 +319,10 @@ def verify_expansion(n: int, k: int, cap=None):
         raise ValueError("need k >= 1")
     check_cap((n * n) ** k, cap)  # both sides are compared as numbered graphs
     lhs = universal_det(n, k, (), cap=cap).expand(cap)
-    total_sum = FormalSum.zero(n, k)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            edge = FormalSum.single(DirectedGraph(n, ((i, j),)))
-            total_sum = total_sum + concat_product(
-                edge, universal_codim1(n, k - 1, i, j, cap=cap).expand(cap)
-            )
-    rhs_base = Fraction(1, k) * total_sum
+    rhs_base = _prefixed(n, k, [
+        (Fraction(1, k), ((i, j),), universal_codim1(n, k - 1, i, j, cap=cap))
+        for i in range(1, n + 1) for j in range(1, n + 1)
+    ])
     probe = _probe_sign(lhs, lambda s: s * rhs_base)
     failures, total = _sum_diff(lhs, -rhs_base)
     if probe["status"] != "fail":
@@ -340,7 +336,7 @@ def verify_derivative(n: int, k: int, i: int, m: int, cap=None):
     the paired determinant in w[i,i] against s^m times the paired sum of the
     two smaller determinant elements."""
     _vertex(n, i)
-    if not (1 <= m <= k):
+    if type(m) is not int or not 1 <= m <= k:
         raise ValueError("need 1 <= m <= k")
     W, _ = _matrices(n)
     lhs = pairing(W, universal_det(n, k, (), cap=cap)).derivative(w(i, i), m)
@@ -625,7 +621,8 @@ class SuiteConfig:
     cap: int | None = None
 
     def __post_init__(self):
-        if self.max_n < 1 or self.max_k < 0 or self.jobs < 1:
+        ints = all(type(v) is int for v in (self.max_n, self.max_k, self.jobs))
+        if not ints or self.max_n < 1 or self.max_k < 0 or self.jobs < 1:
             raise ValueError("need max_n >= 1, max_k >= 0, jobs >= 1")
 
 

@@ -31,7 +31,7 @@ from graphdet import (
 from graphdet import algebra, graphs
 from graphdet.algebra import class_sum, numbered
 from graphdet.graphs import directed_edge_types
-from graphdet.verify import _alpha_sigma
+from graphdet.verify import _alpha_sigma, verify_expansion
 
 D = DirectedGraph
 half = Fraction(1, 2)
@@ -269,6 +269,17 @@ def test_walk_refuses_bad_shape(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: universal_det(2, 1.0),
+    lambda: FormalSum(2, 1.0),
+    lambda: SymmetricSum.zero(2, True),
+], ids=["universal_det-float-k", "FormalSum-float-k", "zero-bool-k"])
+def test_sizes_must_be_integers(build):
+    # 1.0 and True equal a valid size, but would reach the sum's n or k.
+    with pytest.raises(ValueError, match="need n >= 1 and k >= 0"):
+        build()
+
+
 def test_one_classified_walk_per_degree(monkeypatch):
     # theta(3) reads the walks at k = 4, 2 and 1 and classifies each
     # multiset once: C(12,4) + C(10,2) + C(9,1) calls.  The walk keeps the
@@ -350,6 +361,8 @@ def test_internal_paths_build_no_graphs(monkeypatch):
         format_formal_sum(s)
     pairing(W, directed)
     pairing(W, sym)
+    theta(3)
+    verify_expansion(2, 2)
     assert built == []
     directed.support()
     assert len(built) == 2

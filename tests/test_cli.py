@@ -11,7 +11,7 @@ import pytest
 
 import graphdet
 from graphdet import parse_formal_sum, universal_det
-from graphdet.cli import main
+from graphdet.cli import build_parser, main
 from graphdet.verify import CHECK_FUNCTIONS, SuiteConfig, run_check, run_suite
 
 
@@ -193,6 +193,21 @@ def test_verify_pass_and_sign(capsys):
 def test_verify_unknown_check_exits_2(capsys):
     code, _, err = run(capsys, "verify", "no-such-check", "--n", "2", "--k", "1")
     assert code == 2 and "unknown check" in err
+
+
+def test_a_fault_inside_a_check_is_not_a_usage_error(monkeypatch):
+    # a check's own KeyError is not re-labelled as exit 2, "error: 'x'"
+    def broken(n, k, cap=None):
+        raise KeyError("x")
+
+    monkeypatch.setitem(CHECK_FUNCTIONS, "direct", broken)
+    with pytest.raises(KeyError, match="x"):
+        main(["verify", "direct", "--n", "2", "--k", "1"])
+
+
+def test_suite_reads_its_default_grid_from_suite_config():
+    args = build_parser().parse_args(["suite"])
+    assert (args.n, args.k) == (SuiteConfig().max_n, SuiteConfig().max_k)
 
 
 def test_verify_cap_exits_3(capsys):

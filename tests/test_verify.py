@@ -71,6 +71,21 @@ def test_checks_refuse_non_integer_vertices(check):
         check()
 
 
+@pytest.mark.parametrize("check, message", [
+    (lambda: verify_diag(True, 1), "need n >= 1 and k >= 0"),
+    (lambda: verify_minor_pairing(True), "need n >= 1 and k >= 0"),
+    (lambda: verify_derivative(2, 2, 1, True), "need 1 <= m <= k"),
+    (lambda: SuiteConfig(max_n=True, max_k=False), "need max_n >= 1"),
+    (lambda: SuiteConfig(max_k=0.5), "need max_n >= 1"),
+], ids=["diag-bool-n", "minor_pairing-bool-n", "derivative-bool-m", "suite-bools",
+        "suite-float-k"])
+def test_sizes_must_be_integers(check, message):
+    # True and 1.0 equal a valid size, but would reach the report's params
+    # or the grid's ranges.
+    with pytest.raises(ValueError, match=message):
+        check()
+
+
 def test_direct_small_cells():
     for n, k in [(1, 0), (1, 1), (2, 0), (2, 2), (3, 2)]:
         assert verify_direct(n, k).ok
