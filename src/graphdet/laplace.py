@@ -22,26 +22,34 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import lru_cache
 
 from .graphs import DirectedGraph
 from .algebra import FormalSum, SymmetricSum
 from .poly import _accumulate
 
 
-def _replacements(kind, n: int, a: int):
+@lru_cache(maxsize=None)
+def _replacements(kind, n: int, a: int) -> tuple:
+    """The n-1 edges that replace a loop at a, in order of the other
+    endpoint; built once per (kind, n, a) and shared, hence a tuple."""
     if kind is DirectedGraph:
-        return [(a, b) for b in range(1, n + 1) if b != a]
-    return [(min(a, b), max(a, b)) for b in range(1, n + 1) if b != a]
+        return tuple((a, b) for b in range(1, n + 1) if b != a)
+    return tuple((min(a, b), max(a, b)) for b in range(1, n + 1) if b != a)
 
 
 def b_op(p: int, s: FormalSum) -> FormalSum:
-    """Resolve a loop in position p, linearly over the sum.  A sum with no
-    loop in position p is fixed, and is returned as it is."""
-    if not (1 <= p <= s.k):
-        raise ValueError(f"edge position {p} out of range 1..{s.k}")
+    """Resolve a loop in position p, an int in 1..k (a bool is refused),
+    linearly over the sum.  A sum with no loop in position p is fixed, and
+    is returned as it is: a plain scan stops at the first loop it meets."""
+    if type(p) is not int or not (1 <= p <= s.k):
+        raise ValueError(f"edge position {p!r} out of range 1..{s.k}")
     s = s.expand()
     i = p - 1
-    if not any(e[i][0] == e[i][1] for e in s._terms):
+    for e in s._terms:
+        if e[i][0] == e[i][1]:
+            break
+    else:
         return s
 
     def images():

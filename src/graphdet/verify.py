@@ -369,6 +369,7 @@ def verify_minor_pairing(n: int, cap=None):
     """Signed pairing laws: the paired diagonal I-minor element equals
     (-1)^|I| times the matrix minor, and the paired (i,j) element equals
     (-1)^(i+j+1) times the (i,j) matrix minor, fully symbolically."""
+    check_shape(n, 0)
     W, _ = _matrices(n)
     failures = []
     literal_all = True
@@ -422,6 +423,7 @@ def verify_kirchhoff_diag(n: int, I, cap=None):
     iso = frozenset(I)
     if not iso:
         raise ValueError("need a nonempty vertex set")
+    check_shape(n, 0)
     s = len(iso)
     k = n - s
     W, Wh = _matrices(n)
@@ -454,6 +456,7 @@ def verify_kirchhoff_codim1(n: int, i: int, j: int, cap=None):
     _vertex(n, j)
     if i == j:
         raise ValueError("need i != j")
+    check_shape(n, 0)
     check_cap(n ** (n - 1), cap)  # the oracle's head functions
     W, Wh = _matrices(n)
     trees = rooted_forest_poly(n, {i})

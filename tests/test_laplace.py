@@ -47,6 +47,27 @@ def test_b_op_examples():
     # 19,973,520 numbered graphs, past the default cap
     with pytest.raises(ValueError, match=r"edge position 9 out of range 1\.\.8"):
         b_op(9, universal_det(3, 8))
+    # a position is an int: 1.0 and True equal 1 but are refused, on a sum
+    # with terms and on a zero sum alike
+    for p in (1.0, True, "1"):
+        for t in (s, FormalSum.zero(2, 2)):
+            with pytest.raises(ValueError, match="out of range 1..2"):
+                b_op(p, t)
+
+
+def test_replacements_table():
+    # the n-1 edges from a, in order of the other endpoint, undirected ones
+    # stored as (min, max); a tuple, so no caller can change the shared value
+    for kind in (D, U):
+        for n in range(1, 5):
+            for a in range(1, n + 1):
+                table = _replacements(kind, n, a)
+                assert type(table) is tuple
+                expected = [(a, b) for b in range(1, n + 1) if b != a]
+                if kind is U:
+                    expected = [(min(e), max(e)) for e in expected]
+                assert list(table) == expected
+                assert _replacements(kind, n, a) is table
 
 
 def _b_op_reference(p, s):

@@ -49,12 +49,24 @@ from graphdet.poly import MultiPoly, w
 var = MultiPoly.variable
 
 
-@pytest.mark.parametrize("check, n, k", [
-    ("direct", 0, 2), ("specval", 0, 2), ("operator_laws", 0, 2), ("operator_laws", 2, -1),
-])
-def test_checks_refuse_bad_shape(check, n, k):
+@pytest.mark.parametrize("check, params", [
+    ("direct", {"n": 0, "k": 2}),
+    ("specval", {"n": 0, "k": 2}),
+    ("operator_laws", {"n": 0, "k": 2}),
+    ("operator_laws", {"n": 2, "k": -1}),
+    ("minor_pairing", {"n": 0}),
+    ("minor_pairing", {"n": 2.0}),
+    ("kirchhoff_diag", {"n": 0, "I": [1]}),
+    ("kirchhoff_diag", {"n": 3.0, "I": [1]}),
+    ("kirchhoff_codim1", {"n": 3.0, "i": 1, "j": 2}),
+], ids=["direct-0-2", "specval-0-2", "operator_laws-0-2", "operator_laws-2--1",
+        "minor_pairing-0", "minor_pairing-float-n", "kirchhoff_diag-0", "kirchhoff_diag-float-n", "kirchhoff_codim1-float-n"])
+def test_checks_refuse_bad_shape(check, params):
+    # the shape is checked before the symbolic matrices are built from n;
+    # kirchhoff_codim1 checks its vertices first, so its n = 0 is a vertex
+    # error (tests/test_cli.py)
     with pytest.raises(ValueError, match="need n >= 1 and k >= 0"):
-        run_check(check, {"n": n, "k": k})
+        run_check(check, params)
 
 
 @pytest.mark.parametrize("check", [
