@@ -276,38 +276,6 @@ def classify(g: DirectedGraph) -> GraphClassification:
     return _classify_key(g.n, tuple(sorted(g.edges)))
 
 
-def edge_on_directed_cycle(g: DirectedGraph, p: int) -> bool:
-    """Whether edge number p lies on a directed cycle (a loop always does).
-
-    Runs a fresh search from the head back to the tail; deliberately does not
-    share code with classify() so the two can cross-check each other.
-    """
-    a, b = g.edges[p - 1]
-    if a == b:
-        return True
-    frontier = {b}
-    seen = {b}
-    heads: dict[int, set[int]] = {}
-    for x, y in g.edges:
-        heads.setdefault(x, set()).add(y)
-    while frontier:
-        nxt = set()
-        for u in frontier:
-            for w in heads.get(u, ()):
-                if w == a:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
-        frontier = nxt
-    return False
-
-
-def is_ssc_by_edges(g: DirectedGraph) -> bool:
-    """Independent semiconnectivity test: every edge on a directed cycle."""
-    return all(edge_on_directed_cycle(g, p) for p in range(1, g.k + 1))
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 

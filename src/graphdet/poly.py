@@ -287,8 +287,9 @@ class WeightMatrix:
         return cls(len(conv), conv)
 
     def entry(self, i: int, j: int) -> MultiPoly:
-        """1-based entry access."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
+        """1-based entry access; an index must be an int, not a bool."""
+        if (type(i) is not int or type(j) is not int
+                or not (1 <= i <= self.n and 1 <= j <= self.n)):
             raise ValueError("matrix index out of range")
         return self.entries[i - 1][j - 1]
 
@@ -337,13 +338,14 @@ def minor(m: WeightMatrix, rows: Iterable[int], cols: Iterable[int]) -> MultiPol
     """Determinant after deleting the listed rows and columns (1-based).
 
     No cofactor sign is applied; callers that need (-1)^(i+j) say so
-    explicitly.
+    explicitly.  An index that is not an int (a bool included) is refused.
     """
+    rows, cols = tuple(rows), tuple(cols)
     rset, cset = set(rows), set(cols)
     if len(rset) != len(cset):
         raise ValueError("must delete equally many rows and columns")
-    for idx in rset | cset:
-        if not (1 <= idx <= m.n):
+    for idx in rows + cols:
+        if type(idx) is not int or not (1 <= idx <= m.n):
             raise ValueError("row/column index out of range")
     kept_r = [i for i in range(1, m.n + 1) if i not in rset]
     kept_c = [j for j in range(1, m.n + 1) if j not in cset]

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 from .algebra import (
@@ -28,6 +28,7 @@ from .algebra import (
     _prefixed,
     _theta_low,
     class_sum,
+    numbered,
     pairing,
     theta,
     universal_codim1,
@@ -49,6 +50,7 @@ from .graphs import (
     undirected_edge_types,
 )
 from .laplace import b_op, laplace
+from .oracles import rooted_forest_poly
 from .poly import MultiPoly, WeightMatrix, laplace_matrix, minor, w
 from .potts import _orientation_counts, _potts_sum, _subset_counts, shave, universal_potts
 
@@ -184,25 +186,27 @@ def _check(name: str):
 # laws, which act on edge numbers, run on every sequence.
 
 
-def _enumerate(case, n, k, per_case, cap, edge_types=directed_edge_types, numbered=None):
+def _enumerate(case, n, k, per_case, cap, edge_types=directed_edge_types,
+               per_sequence=None):
     """Run ``case(n, k, multiset)``, which returns None or the (expected,
     actual) pair of a mismatch, once on every k-edge multiset over
-    ``edge_types(n)``, and the per-sequence law ``numbered``, if given, on
-    every edge sequence.  Failures are listed per edge sequence in
-    lexicographic order, a sequence's own law first; the cap counts
-    ``per_case`` units per sequence.  Returns the failures and the number of
-    sequences."""
+    ``edge_types(n)``, and the law ``per_sequence``, if given, on every edge
+    sequence.  Failures are listed per edge sequence in lexicographic order,
+    a sequence's own law first; without that law only the numberings of the
+    failing multisets are walked.  The cap counts ``per_case`` units per
+    sequence.  Returns the failures and the number of sequences."""
     check_shape(n, k)
     etypes = edge_types(n)
     total = len(etypes) ** k
     check_cap(total * per_case, cap)
     by_multiset = {m: case(n, k, m) for m in combinations_with_replacement(etypes, k)}
+    if per_sequence is None:
+        by_multiset = {m: bad for m, bad in by_multiset.items() if bad is not None}
     failures = []
-    if numbered is not None or any(by_multiset.values()):
-        for seq in product(etypes, repeat=k):
-            bad = (numbered and numbered(n, k, seq)) or by_multiset[tuple(sorted(seq))]
-            if bad is not None:
-                failures.append(_failure(seq, *bad))
+    for seq, bad in numbered(by_multiset):
+        bad = (per_sequence and per_sequence(n, k, seq)) or bad
+        if bad is not None:
+            failures.append(_failure(seq, *bad))
     return failures, total
 
 
@@ -387,34 +391,6 @@ def verify_minor_pairing(n: int, cap=None):
     return failures, cases, {"notes": notes}
 
 
-def rooted_forest_poly(n: int, roots) -> MultiPoly:
-    """Independent oracle: sum of monomials over functions sending each
-    non-root vertex to its out-neighbour, whose iteration always lands in the
-    root set.  These are exactly the forests of trees directed towards the
-    roots, one root per component; each forest's monomial is distinct, with
-    coefficient 1."""
-    rootset = frozenset(roots)
-    others = [v for v in range(1, n + 1) if v not in rootset]
-    terms = {}
-    for heads in product(range(1, n + 1), repeat=len(others)):
-        f = dict(zip(others, heads))
-        ok = True
-        for v in others:
-            seen = set()
-            u = v
-            while u not in rootset:
-                if u in seen:
-                    ok = False
-                    break
-                seen.add(u)
-                u = f[u]
-            if not ok:
-                break
-        if ok:
-            terms[tuple((w(v, f[v]), 1) for v in others)] = 1
-    return MultiPoly(terms)
-
-
 @_check("kirchhoff_diag")
 def verify_kirchhoff_diag(n: int, I, cap=None):
     """Classical diagonal-minor law for the zero-row-sum matrix, against the
@@ -526,8 +502,6 @@ def verify_theta(n: int, cap=None):
     componentwise Laplace image implied by the diagonal-minor theorem, and
     the symbolic minor-sum law for the pairing with the zero-row-sum matrix.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
     th = theta(n, cap=cap)
     hi, lo = laplace(th.part(n + 1)), laplace(th.part(n - 1))
     failures = []
@@ -610,7 +584,7 @@ def verify_operator_laws(n: int, k: int, cap=None):
     idempotent with loop-free sink-preserving output, and pairing with the
     zero-row-sum matrix factors through it; on the full graph basis.  A graph
     violating a position law is reported under that law's name."""
-    return _enumerate(_multiset_laws, n, k, k * k + 2, cap, numbered=_position_laws)
+    return _enumerate(_multiset_laws, n, k, k * k + 2, cap, per_sequence=_position_laws)
 
 
 # ---------------------------------------------------------------------------

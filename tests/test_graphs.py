@@ -19,7 +19,8 @@ from graphdet import (
     forget,
     orientations,
 )
-from graphdet.graphs import CapExceeded, _merge_vertices, is_ssc_by_edges
+from graphdet.graphs import CapExceeded, _merge_vertices
+from graphdet.oracles import is_ssc_by_edges
 
 D = DirectedGraph
 U = UndirectedGraph

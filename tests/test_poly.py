@@ -128,6 +128,24 @@ def test_minor():
         minor(Wh, {3}, {1})
 
 
+@pytest.mark.parametrize("rows, cols", [
+    ({1.5}, {1.5}), ({1.0}, {1}), ([True], [1]), ([1, True], [1, 1]), ({2}, ("1",)),
+], ids=["float", "integral-float", "bool", "bool-beside-its-int", "string"])
+def test_minor_refuses_indices_that_are_not_ints(rows, cols):
+    # 1.5 matches no row: without the check it would delete nothing, and
+    # the minor would be the whole determinant.
+    W = WeightMatrix.symbolic(2)
+    with pytest.raises(ValueError, match="row/column index out of range"):
+        minor(W, rows, cols)
+
+
+@pytest.mark.parametrize("i, j", [(True, 2), (1, 2.0), (1.5, 1), ("1", 1)],
+                         ids=["bool", "integral-float", "float", "string"])
+def test_entry_refuses_indices_that_are_not_ints(i, j):
+    with pytest.raises(ValueError, match="matrix index out of range"):
+        WeightMatrix.symbolic(2).entry(i, j)
+
+
 def test_pairing_examples():
     W = WeightMatrix.symbolic(2)
     assert pairing(W, universal_det(2, 1, (1,))) == -var(w(2, 2))

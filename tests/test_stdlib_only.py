@@ -32,7 +32,7 @@ def test_engine_imports_only_the_standard_library():
 
 
 # Each module imports only modules before it in this order.
-LAYERS = ["graphs", "poly", "algebra", "laplace", "potts", "verify", "cli"]
+LAYERS = ["graphs", "poly", "oracles", "algebra", "laplace", "potts", "verify", "cli"]
 
 
 def _package_modules(node) -> list[str]:
@@ -68,6 +68,27 @@ def test_modules_import_only_earlier_modules_and_only_at_top_level():
                 ]
     assert upward == []
     assert in_functions == []
+
+
+# The only package names the oracles read: a graph type and the polynomials,
+# nothing of the engine (classification, the class walk, the class sums,
+# laplace, the position operators, pairing) that the checks compare them with.
+ORACLE_IMPORTS = [("graphs", "DirectedGraph"), ("poly", "MultiPoly"), ("poly", "w")]
+
+
+def test_oracles_read_no_engine_code_and_only_verify_reads_them():
+    imports, readers = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            modules = _package_modules(node)
+            if path.stem == "oracles":
+                imports += [(m, a.name) for m in modules for a in node.names]
+            if "oracles" in modules:
+                readers.append(path.stem)
+    assert sorted(imports) == ORACLE_IMPORTS
+    assert readers == ["verify"]
 
 
 PUBLIC = [

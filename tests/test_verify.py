@@ -89,11 +89,12 @@ def test_checks_refuse_non_integer_vertices(check):
     (lambda: verify_derivative(2, 2, 1, True), "need 1 <= m <= k"),
     (lambda: SuiteConfig(max_n=True, max_k=False), "need max_n >= 1"),
     (lambda: SuiteConfig(max_k=0.5), "need max_n >= 1"),
+    (lambda: verify_theta(1), "need n >= 2"),
 ], ids=["diag-bool-n", "minor_pairing-bool-n", "derivative-bool-m", "suite-bools",
-        "suite-float-k"])
+        "suite-float-k", "theta-1"])
 def test_sizes_must_be_integers(check, message):
     # True and 1.0 equal a valid size, but would reach the report's params
-    # or the grid's ranges.
+    # or the grid's ranges.  verify_theta leaves n < 2 to theta's own check.
     with pytest.raises(ValueError, match=message):
         check()
 
