@@ -51,17 +51,15 @@ def b_op(p: int, s: FormalSum) -> FormalSum:
             break
     else:
         return s
-
-    def images():
-        for e, c in s._terms.items():
-            a, b = e[i]
-            if a != b:
-                yield e, c
-                continue
-            for r in _replacements(s.kind, s.n, a):
-                yield e[:i] + (r,) + e[p:], -c
-
-    return FormalSum._wrap(s.n, s.k, _accumulate({}, images()), s.kind)
+    images = []
+    for e, c in s._terms.items():
+        a, b = e[i]
+        if a != b:
+            images.append((e, c))
+            continue
+        for r in _replacements(s.kind, s.n, a):
+            images.append((e[:i] + (r,) + e[p:], -c))
+    return FormalSum._wrap(s.n, s.k, _accumulate({}, images), s.kind)
 
 
 def laplace(s: FormalSum | SymmetricSum) -> FormalSum | SymmetricSum:

@@ -28,12 +28,12 @@ def edge_on_directed_cycle(g: DirectedGraph, p: int) -> bool:
     while frontier:
         nxt = set()
         for u in frontier:
-            for w in heads.get(u, ()):
-                if w == a:
+            for v in heads.get(u, ()):
+                if v == a:
                     return True
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.add(v)
         frontier = nxt
     return False
 

@@ -13,8 +13,10 @@ the edge numbering.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 from .algebra import SymmetricSum
 from .graphs import (
@@ -32,13 +34,20 @@ from .graphs import (
 from .poly import MultiPoly, Q, V, X, Y, _accumulate, _exact
 
 
-def _subset_counts(u: UndirectedGraph, cap: int | None) -> dict[tuple[int, int], int]:
+def _subset_counts(u: UndirectedGraph, cap: int | None) -> Mapping[tuple[int, int], int]:
     """How many edge subsets of u have each (components, size) pair."""
     check_cap(2 ** u.k, cap)
-    return _accumulate({}, (
-        ((_beta0(u.n, tuple(u.edges[p] for p in pos)), len(pos)), 1)
-        for pos in subset_positions(u.k)
-    ))
+    return _subset_table(u.n, tuple(sorted(u.edges)))
+
+
+@lru_cache(maxsize=None)
+def _subset_table(n: int, edges: tuple) -> Mapping[tuple[int, int], int]:
+    """``_subset_counts`` of one sorted edge multiset, shared by every caller
+    for the life of the process, hence read-only."""
+    return MappingProxyType(_accumulate({}, (
+        ((_beta0(n, tuple(edges[p] for p in pos)), len(pos)), 1)
+        for pos in subset_positions(len(edges))
+    )))
 
 
 def potts(u: UndirectedGraph, cap: int | None = None) -> MultiPoly:

@@ -46,13 +46,19 @@ from .graphs import (
     check_shape,
     classify,
     directed_edge_types,
-    subset_positions,
     undirected_edge_types,
 )
 from .laplace import b_op, laplace
 from .oracles import rooted_forest_poly
 from .poly import MultiPoly, WeightMatrix, laplace_matrix, minor, w
-from .potts import _orientation_counts, _potts_sum, _subset_counts, shave, universal_potts
+from .potts import (
+    _orientation_counts,
+    _potts_sum,
+    _subset_counts,
+    _subset_table,
+    shave,
+    universal_potts,
+)
 
 EXPECTED_SIGNS = {"expansion": -1, "derivative": -1}
 _FAILURES_SHOWN = 20
@@ -228,14 +234,17 @@ def _alpha_sigma(c: GraphClassification, k: int) -> tuple[int, int]:
     )
 
 
+@lru_cache(maxsize=None)
 def _subset_signs(n: int, k: int, edges: tuple) -> tuple[tuple, tuple]:
     """The acyclicity sign alpha and the semiconnectivity sign sigma of the
-    subgraph each of the 2^k position subsets keeps, in bit-mask order; the
-    last entry is the whole graph."""
-    alpha, sigma = zip(*(
-        _alpha_sigma(_classify_key(n, tuple(sorted(edges[p] for p in pos))), len(pos))
-        for pos in subset_positions(k)
-    ))
+    subgraph each of the 2^k bit masks keeps of the sorted edges, in mask
+    order; the last entry is the whole graph.  A mask's key is its lowest
+    edge before the key of the mask without it, so each key comes sorted."""
+    edges = sorted(edges)
+    keys = [()]
+    for m in range(1, 2 ** k):
+        keys.append((edges[(m & -m).bit_length() - 1],) + keys[m & (m - 1)])
+    alpha, sigma = zip(*(_alpha_sigma(_classify_key(n, key), len(key)) for key in keys))
     return alpha, sigma
 
 
@@ -334,6 +343,14 @@ def verify_expansion(n: int, k: int, cap=None):
     return failures, total, probe
 
 
+@lru_cache(maxsize=None)
+def _paired_det(n: int, k: int, I: tuple, cap) -> MultiPoly:
+    """The determinant element paired with the symbolic matrix; pairing is
+    linear, so a sum of elements pairs to the sum of these."""
+    W, _ = _matrices(n)
+    return pairing(W, universal_det(n, k, I, cap=cap))
+
+
 @_check("derivative")
 def verify_derivative(n: int, k: int, i: int, m: int, cap=None):
     """Sign-probed diagonal-derivative law: the m-fold partial derivative of
@@ -342,11 +359,8 @@ def verify_derivative(n: int, k: int, i: int, m: int, cap=None):
     _vertex(n, i)
     if type(m) is not int or not 1 <= m <= k:
         raise ValueError("need 1 <= m <= k")
-    W, _ = _matrices(n)
-    lhs = pairing(W, universal_det(n, k, (), cap=cap)).derivative(w(i, i), m)
-    bracket = pairing(
-        W, universal_det(n, k - m, (), cap=cap) + universal_det(n, k - m, (i,), cap=cap)
-    )
+    lhs = _paired_det(n, k, (), cap).derivative(w(i, i), m)
+    bracket = _paired_det(n, k - m, (), cap) + _paired_det(n, k - m, (i,), cap)
     probe = _probe_sign(lhs, lambda s: s ** m * bracket)
     failures = []
     if probe["status"] == "fail":
@@ -545,7 +559,7 @@ def _position_laws(n, k, edges):
     """The first position-operator law the numbered graph violates, as the
     (expected, actual) pair of its failure, or None: each b_p is idempotent,
     and every two of them commute."""
-    s = FormalSum.single(DirectedGraph(n, edges))
+    s = FormalSum._wrap(n, k, {edges: 1})  # numbered() gives valid edges
     singles = [b_op(p, s) for p in range(1, k + 1)]
     for p in range(1, k + 1):
         if b_op(p, singles[p - 1]) != singles[p - 1]:
@@ -589,6 +603,12 @@ def verify_operator_laws(n: int, k: int, cap=None):
 
 # ---------------------------------------------------------------------------
 # The whole desk-scale grid.
+
+# Numbering-free tables that cells share for the life of the process.  Each
+# value is a function of its key alone, so no report depends on which cell,
+# in which order, filled it.
+SHARED_TABLES = (_subset_signs, _subset_table, _paired_det)
+
 
 @dataclass
 class SuiteConfig:

@@ -5,6 +5,7 @@ from types import ModuleType
 
 import pytest
 
+import graphdet.potts as potts_module
 from graphdet import (
     DirectedGraph,
     MultiPoly,
@@ -22,9 +23,25 @@ from graphdet import (
 from graphdet.algebra import FormalSum
 from graphdet.poly import Q, V, X, Y
 from graphdet.potts import potts
+from graphdet.verify import verify_lapl_tutte, verify_specval
 
 U = UndirectedGraph
 var = MultiPoly.variable
+
+
+def test_subset_count_tables_are_shared_and_read_only():
+    # specval, universal_potts and potts() read one cached table per
+    # multiset; no caller can change it for the next
+    u = U(2, ((1, 2), (1, 1), (2, 2)))
+    first = potts_module._subset_counts(u, None)
+    want = dict(first)
+    with pytest.raises(TypeError):
+        first[(1, 0)] = 0
+    potts(u)
+    universal_potts(2, 3, -1, 1, shaved=False)
+    assert verify_specval(2, 3).ok and verify_lapl_tutte(2, 3).ok
+    second = potts_module._subset_counts(U(2, ((2, 2), (1, 2), (1, 1))), None)
+    assert second is first and dict(second) == want
 
 
 def test_potts_module_is_not_shadowed():

@@ -402,6 +402,59 @@ def test_operator_laws_call_b_op_on_every_sequence_and_position(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Tables shared across cells.
+
+
+def _payloads(cells):
+    out = {}
+    for name, params in cells:
+        r = run_check(name, params)
+        out[json.dumps([name, params], sort_keys=True)] = (
+            {f: v for f, v in r.to_json_dict().items() if f != "elapsed_ms"}, r.notes,
+        )
+    return out
+
+
+def test_payloads_do_not_depend_on_cell_order():
+    # whichever cell fills a shared table, every cell reads the same value
+    cells = suite_cells(SuiteConfig())
+    assert len(cells) == 326
+    for table in verify.SHARED_TABLES:
+        table.cache_clear()
+    forward = _payloads(cells)
+    for table in verify.SHARED_TABLES:
+        table.cache_clear()
+    assert _payloads(cells[::-1]) == forward
+
+
+def test_sign_cells_read_the_table_direct_filled(monkeypatch):
+    classify_key = verify._classify_key
+    calls = []
+    monkeypatch.setattr(
+        verify, "_classify_key", lambda n, key: calls.append(key) or classify_key(n, key)
+    )
+    assert verify_direct(3, 3).ok
+    assert calls
+    calls.clear()
+    assert verify_direct_prime(3, 3).ok
+    assert verify_mobius_equiv(3, 3).ok
+    assert calls == []
+
+
+def test_derivative_cells_pair_each_determinant_once(monkeypatch):
+    pairing = verify.pairing
+    calls = []
+    monkeypatch.setattr(verify, "pairing", lambda m, s: calls.append(s) or pairing(m, s))
+    n, k = 2, 3
+    wanted = {(k, ())}
+    for i in range(1, n + 1):
+        for m in range(1, k + 1):
+            assert verify_derivative(n, k, i, m).ok
+            wanted |= {(k - m, ()), (k - m, (i,))}
+    assert len(calls) == len(wanted) == 10
+
+
+# ---------------------------------------------------------------------------
 # Failure branches: each fault is injected by patching one name in verify.
 
 
