@@ -40,8 +40,10 @@ def _replacements(kind, n: int, a: int) -> tuple:
 
 def b_op(p: int, s: FormalSum) -> FormalSum:
     """Resolve a loop in position p, an int in 1..k (a bool is refused),
-    linearly over the sum.  A sum with no loop in position p is fixed, and
-    is returned as it is: a plain scan stops at the first loop it meets."""
+    linearly over the sum.  A sum with no loop in position p is fixed: a
+    plain scan stops at the first loop it meets, and a FormalSum with none
+    there is returned as it is, the same object, which
+    ``verify._position_laws`` relies on."""
     if type(p) is not int or not (1 <= p <= s.k):
         raise ValueError(f"edge position {p!r} out of range 1..{s.k}")
     s = s.expand()

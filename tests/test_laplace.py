@@ -33,7 +33,7 @@ def basis(n, k):
 
 def test_b_op_examples():
     s = FormalSum.single(D(2, ((1, 2), (1, 1))))
-    assert b_op(1, s) == s  # first edge not a loop
+    assert b_op(1, s) is s  # first edge not a loop: the sum itself
     assert b_op(2, s) == FormalSum.single(D(2, ((1, 2), (1, 2))), -1)
     s3 = FormalSum.single(D(3, ((1, 2), (1, 1))))
     assert b_op(2, s3) == FormalSum(3, 2, {

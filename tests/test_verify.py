@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -11,8 +12,20 @@ from hypothesis import given, settings, strategies as st
 
 import graphdet.potts as potts_module
 from graphdet import verify
-from graphdet.algebra import SymmetricSum, class_sum, universal_codim1, universal_det
-from graphdet.graphs import CapExceeded, directed_edge_types, undirected_edge_types
+from graphdet.algebra import (
+    FormalSum,
+    SymmetricSum,
+    class_sum,
+    universal_codim1,
+    universal_det,
+)
+from graphdet.graphs import (
+    CapExceeded,
+    DirectedGraph,
+    directed_edge_types,
+    undirected_edge_types,
+)
+from graphdet.laplace import b_op
 from graphdet.potts import universal_potts
 from graphdet.verify import (
     CHECK_FUNCTIONS,
@@ -323,13 +336,50 @@ def test_multiset_walk_lists_every_failing_sequence_in_order(monkeypatch):
             assert run_check(name, {"n": n, "k": k}).failures == want
 
 
+def _numbering_fault(p, s):
+    """b_1 doubles sums with a graph whose first edge is (1, 2): a position
+    fault that depends on the edge numbering."""
+    out = b_op(p, s)
+    if p == 1 and any(g.edges[0] == (1, 2) for g in s.support()):
+        return 2 * out
+    return out
+
+
+def _commute_fault(p, s):
+    """b_1 doubles any result with more than n - 1 terms: it resolves loops
+    at position 1 and at another position of the same sequence, so only
+    b_1 b_q != b_q b_1 breaks, and only for n >= 3."""
+    out = b_op(p, s)
+    return 2 * out if p == 1 and len(out) > s.n - 1 else out
+
+
+def _copying(p, s):
+    """b_op, returning an equal new sum where b_op returns its argument."""
+    out = b_op(p, s)
+    return out.scale(1) if out is s else out
+
+
+def _all_call_position_laws(n, k, edges):
+    """The position laws with no call skipped: k singles, k idempotence and
+    k(k - 1) commutation calls of ``verify.b_op`` per sequence."""
+    s = FormalSum.single(DirectedGraph(n, edges))
+    singles = [verify.b_op(p, s) for p in range(1, k + 1)]
+    for p in range(1, k + 1):
+        if verify.b_op(p, singles[p - 1]) != singles[p - 1]:
+            return "law:idempotent", "violated"
+    for p in range(1, k + 1):
+        for q in range(p + 1, k + 1):
+            if verify.b_op(q, singles[p - 1]) != verify.b_op(p, singles[q - 1]):
+                return "law:commute", "violated"
+    return None
+
+
 def test_operator_laws_list_every_failing_sequence_in_order(monkeypatch):
     # a support fault that depends only on the multiset (graphs with one
     # loop at vertex 2 gain a sink) and a position fault that depends on the
-    # numbering (b_1 doubles graphs whose first edge is (1, 2)); the report
-    # must equal a walk that runs both halves on every sequence, the
-    # position law winning where both fail
-    classify, b_op = verify.classify, verify.b_op
+    # numbering; the report must equal a walk that runs both halves on
+    # every sequence, the position law winning where both fail
+    classify = verify.classify
 
     def loop_gains_sink(g):
         c = classify(g)
@@ -337,14 +387,8 @@ def test_operator_laws_list_every_failing_sequence_in_order(monkeypatch):
             return c
         return dataclasses.replace(c, sinks=c.sinks | {0})
 
-    def doubled(p, s):
-        out = b_op(p, s)
-        if p == 1 and any(g.edges[0] == (1, 2) for g in s.support()):
-            return 2 * out
-        return out
-
     monkeypatch.setattr(verify, "classify", loop_gains_sink)
-    monkeypatch.setattr(verify, "b_op", doubled)
+    monkeypatch.setattr(verify, "b_op", _numbering_fault)
     for n, k in [(2, 3), (3, 2), (2, 4)]:
         want = []
         names = set()
@@ -362,16 +406,7 @@ def test_operator_laws_list_every_failing_sequence_in_order(monkeypatch):
 
 
 def test_operator_laws_catch_a_fault_only_commute_sees(monkeypatch):
-    # b_1 doubles any result with more than n - 1 terms: it resolves loops
-    # at position 1 and at another position of the same sequence, so only
-    # b_1 b_q != b_q b_1 breaks, and only for n >= 3
-    b_op = verify.b_op
-
-    def doubled(p, s):
-        out = b_op(p, s)
-        return 2 * out if p == 1 and len(out) > s.n - 1 else out
-
-    monkeypatch.setattr(verify, "b_op", doubled)
+    monkeypatch.setattr(verify, "b_op", _commute_fault)
     for n, k, count in [(3, 2, 9), (3, 3, 135)]:
         want = []
         for seq in product(directed_edge_types(n), repeat=k):
@@ -384,21 +419,59 @@ def test_operator_laws_catch_a_fault_only_commute_sees(monkeypatch):
 
 
 def test_operator_laws_call_b_op_on_every_sequence_and_position(monkeypatch):
-    # k singles, k idempotence and k(k - 1) commutation calls per sequence;
-    # a check that skipped some would miss faults that depend on the edge
-    # numbering
-    b_op = verify.b_op
+    # k singles per sequence, then k calls for each position whose image
+    # b_op changed (an image it returned as it is needs none):
+    # k(1 + |moved|) per sequence, k n^(2k - 1) (n + k) in all; every
+    # position still sees every sequence's own one-term sum exactly once
+    calls = []
+
+    def counted(p, s):
+        calls.append((p, s))
+        return b_op(p, s)
+
+    monkeypatch.setattr(verify, "b_op", counted)
+    for n, k, want in [(3, 2, 270), (2, 3, 480)]:
+        calls.clear()
+        assert verify_operator_laws(n, k).ok
+        assert len(calls) == want == k * n ** (2 * k - 1) * (n + k)
+        own = Counter()
+        for p, s in calls:
+            terms = s.terms()
+            if len(terms) == 1 and terms[0][1] == 1:
+                own[p, terms[0][0].edges] += 1
+        assert own == {
+            (p, seq): 1
+            for seq in product(directed_edge_types(n), repeat=k)
+            for p in range(1, k + 1)
+        }
+
+
+@pytest.mark.parametrize("fault", [None, _numbering_fault, _commute_fault, _copying],
+                         ids=["none", "numbering", "commute", "copying"])
+def test_position_laws_skip_only_calls_that_cannot_fail(monkeypatch, fault):
+    # the check passes b_op only the images it changed; under no fault,
+    # under each position fault, and under a b_op that never returns its
+    # argument, its report equals a walk that makes every call
     calls = []
 
     def counted(p, s):
         calls.append(p)
-        return b_op(p, s)
+        return (fault or b_op)(p, s)
 
     monkeypatch.setattr(verify, "b_op", counted)
-    for n, k, want in [(3, 2, 486), (2, 3, 768)]:
+    failing = 0
+    for n, k in [(3, 2), (2, 3), (3, 3)]:
+        want = []
+        for seq in product(directed_edge_types(n), repeat=k):
+            bad = _all_call_position_laws(n, k, seq) or _multiset_laws(n, k, seq)
+            if bad is not None:
+                want.append(_failure(seq, *bad))
         calls.clear()
-        assert verify_operator_laws(n, k).ok
-        assert len(calls) == want == n ** (2 * k) * k * (k + 1)
+        assert run_check("operator_laws", {"n": n, "k": k}).failures == want
+        if fault is _copying:
+            assert len(calls) == n ** (2 * k) * k * (k + 1)
+        failing += len(want)
+    assert bool(failing) == (fault in (_numbering_fault, _commute_fault))
 
 
 # ---------------------------------------------------------------------------
