@@ -85,7 +85,7 @@ class _LinearSum:
     def _wrap(cls, n: int, k: int, terms: dict, kind=DirectedGraph):
         """The trusted constructor, past any validating ``__init__``."""
         s = cls.__new__(cls)
-        _LinearSum.__init__(s, n, k, terms, kind)
+        s.n, s.k, s.kind, s._terms = n, k, kind, terms
         return s
 
     def _like(self, terms: dict, kind):
@@ -378,7 +378,15 @@ def pairing(m, s):
     """The MultiPoly product of the entries of the WeightMatrix m along each
     graph's edges, extended linearly.  The product does not depend on the
     edge numbering, so each key's coefficient, times the numbered graphs it
-    stands for, is added under its sorted edge tuple; nothing is expanded."""
+    stands for, is added under its sorted edge tuple; nothing is expanded.
+
+    Each multiset's product starts from its coefficient, as
+    ``MultiPoly.const`` does, and is multiplied out one edge at a time in
+    plain dicts, like monomials merging after each edge as in
+    ``MultiPoly.__mul__``.  A partial monomial is the sorted tuple of its
+    variables, each repeated by its exponent; it becomes (variable,
+    exponent) pairs once, at the end.  Each entry is read once per call,
+    through ``m.entry``."""
     if not isinstance(s, _LinearSum):
         raise TypeError("pairing expects a FormalSum or SymmetricSum")
     if s.n != m.n:
@@ -388,12 +396,37 @@ def pairing(m, s):
     grouped = _accumulate({}, (
         (tuple(sorted(key)), c * s._count((key,))) for key, c in s._terms.items()
     ))
+    factors: dict = {}  # edge -> its entry's (flat monomial, coefficient) pairs
     total: dict = {}
     for ms, c in grouped.items():
-        prod = MultiPoly.const(c)
-        for a, b in ms:
-            prod = prod * m.entry(a, b)
-        _accumulate(total, prod._terms.items())
+        prod = {(): _exact(c)}
+        for e in ms:
+            factor = factors.get(e)
+            if factor is None:
+                factor = factors[e] = []
+                for mono, y in m.entry(*e)._terms.items():
+                    flat = ()
+                    for v, x in mono:
+                        flat += (v,) * x
+                    factor.append((flat, y))
+            folded: dict = {}  # filled as ``_accumulate`` fills, inline
+            for f1, c1 in prod.items():
+                for f2, c2 in factor:
+                    key = tuple(sorted(f1 + f2))
+                    x = folded.get(key)
+                    x = c1 * c2 if x is None else x + c1 * c2
+                    if x:
+                        folded[key] = x
+                    else:
+                        del folded[key]
+            prod = folded
+        monos = []
+        for flat, y in prod.items():
+            exps: dict = {}
+            for v in flat:
+                exps[v] = exps.get(v, 0) + 1
+            monos.append((tuple(exps.items()), y))
+        _accumulate(total, monos)
     return MultiPoly._wrap(total)
 
 

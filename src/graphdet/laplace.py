@@ -53,15 +53,23 @@ def b_op(p: int, s: FormalSum) -> FormalSum:
             break
     else:
         return s
-    images = []
+    terms: dict = {}  # filled as ``_accumulate`` fills, inline
     for e, c in s._terms.items():
-        a, b = e[i]
-        if a != b:
-            images.append((e, c))
-            continue
-        for r in _replacements(s.kind, s.n, a):
-            images.append((e[:i] + (r,) + e[p:], -c))
-    return FormalSum._wrap(s.n, s.k, _accumulate({}, images), s.kind)
+        a, b = edge = e[i]
+        if a == b:
+            edges, c = _replacements(s.kind, s.n, a), -c
+        else:
+            edges = (edge,)
+        head, tail = e[:i], e[p:]
+        for r in edges:
+            key = head + (r,) + tail
+            x = terms.get(key)
+            x = c if x is None else x + c
+            if x:
+                terms[key] = x
+            else:
+                del terms[key]
+    return FormalSum._wrap(s.n, s.k, terms, s.kind)
 
 
 def laplace(s: FormalSum | SymmetricSum) -> FormalSum | SymmetricSum:

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 
 from .algebra import (
@@ -36,7 +36,6 @@ from .algebra import (
 )
 from .graphs import (
     CapExceeded,
-    DirectedGraph,
     GraphClassification,
     UndirectedGraph,
     _beta0,
@@ -44,7 +43,6 @@ from .graphs import (
     _vertex,
     check_cap,
     check_shape,
-    classify,
     directed_edge_types,
     undirected_edge_types,
 )
@@ -198,22 +196,21 @@ def _enumerate(case, n, k, per_case, cap, edge_types=directed_edge_types,
     actual) pair of a mismatch, once on every k-edge multiset over
     ``edge_types(n)``, and the law ``per_sequence``, if given, on every edge
     sequence.  Failures are listed per edge sequence in lexicographic order,
-    a sequence's own law first; without that law only the numberings of the
-    failing multisets are walked.  The cap counts ``per_case`` units per
-    sequence.  Returns the failures and the number of sequences."""
+    a sequence's own law first.  With that law every sequence is walked,
+    through ``itertools.product``; without it ``numbered`` lists the
+    numberings of the failing multisets only.  The cap counts ``per_case``
+    units per sequence.  Returns the failures and the number of sequences."""
     check_shape(n, k)
     etypes = edge_types(n)
     total = len(etypes) ** k
     check_cap(total * per_case, cap)
     by_multiset = {m: case(n, k, m) for m in combinations_with_replacement(etypes, k)}
     if per_sequence is None:
-        by_multiset = {m: bad for m, bad in by_multiset.items() if bad is not None}
-    failures = []
-    for seq, bad in numbered(by_multiset):
-        bad = (per_sequence and per_sequence(n, k, seq)) or bad
-        if bad is not None:
-            failures.append(_failure(seq, *bad))
-    return failures, total
+        walk = numbered({m: bad for m, bad in by_multiset.items() if bad is not None})
+    else:
+        walk = ((seq, per_sequence(n, k, seq) or by_multiset[tuple(sorted(seq))])
+                for seq in product(etypes, repeat=k))
+    return [_failure(seq, *bad) for seq, bad in walk if bad is not None], total
 
 
 @lru_cache(maxsize=None)
@@ -560,19 +557,20 @@ def _position_laws(n, k, edges):
     (expected, actual) pair of its failure, or None: each b_p is idempotent,
     and every two of them commute.  Where b_p returned the sum itself, b_p
     of that image is b_p(s) again and b_q of it is b_q(s), so only the
-    images b_op changed are passed back to it: k(1 + |moved|) calls."""
-    s = FormalSum._wrap(n, k, {edges: 1})  # numbered() gives valid edges
+    images b_op changed, at the positions ``moved``, are passed back to it:
+    k(1 + |moved|) calls."""
+    s = FormalSum._wrap(n, k, {edges: 1})  # the walk gives valid edges
     singles = [b_op(p, s) for p in range(1, k + 1)]
-    for p in range(1, k + 1):
-        t = singles[p - 1]
-        if t is not s and b_op(p, t) != t:
+    moved = [(p, sp) for p, sp in enumerate(singles, 1) if sp is not s]
+    for p, sp in moved:
+        if b_op(p, sp) != sp:
             return "law:idempotent", "violated"
-    for p in range(1, k + 1):
-        for q in range(p + 1, k + 1):
-            sp, sq = singles[p - 1], singles[q - 1]
-            left = b_op(q, sp) if sp is not s else sq
-            right = b_op(p, sq) if sq is not s else sp
-            if left != right:
+    for p, sp in moved:
+        for q, sq in enumerate(singles, 1):
+            if sq is s:  # b_q fixes s: b_q b_p(s) must be b_p(s)
+                if b_op(q, sp) != sp:
+                    return "law:commute", "violated"
+            elif p < q and b_op(q, sp) != b_op(p, sq):
                 return "law:commute", "violated"
     return None
 
@@ -581,17 +579,18 @@ def _multiset_laws(n, k, multiset):
     """The first numbering-free law the graph violates, as the (expected,
     actual) pair of its failure, or None: the Laplace operator is
     idempotent, its image is loop-free with the graph's sinks, and pairing
-    with the zero-row-sum matrix factors through it."""
+    with the zero-row-sum matrix factors through it.  No graph is built:
+    each edge tuple is classified sorted, so the multiset may come in any
+    order."""
     W, Wh = _matrices(n)
-    g = DirectedGraph(n, multiset)
-    s = FormalSum.single(g)
+    s = FormalSum._wrap(n, k, {multiset: 1})
     ds = laplace(s)
     if laplace(ds) != ds:
         return "law:laplace-idempotent", "violated"
-    gsinks = classify(g).sinks
-    for h in ds.support():
-        ch = classify(h)
-        if ch.loop_count or ch.sinks != gsinks:
+    sinks = _classify_key(n, tuple(sorted(multiset))).sinks
+    for key in ds._terms:
+        c = _classify_key(n, tuple(sorted(key)))
+        if c.loop_count or c.sinks != sinks:
             return "law:support", "violated"
     if pairing(Wh, s) != pairing(W, ds):
         return "law:pairing", "violated"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -9,6 +10,7 @@ from graphdet import (
     DirectedGraph,
     FormalSum,
     MultiPoly,
+    SymmetricSum,
     WeightMatrix,
     determinant,
     laplace_matrix,
@@ -17,7 +19,8 @@ from graphdet import (
     universal_det,
     w,
 )
-from graphdet.poly import Q, V, Variable, _accumulate
+from graphdet.graphs import directed_edge_types
+from graphdet.poly import Q, V, X, Y, Variable, _accumulate
 
 var = MultiPoly.variable
 
@@ -154,6 +157,56 @@ def test_pairing_examples():
     assert pairing(W, g1 * g2 - g2 * g1).is_zero
     with pytest.raises(ValueError):
         pairing(W, FormalSum.single(DirectedGraph(3, ())))
+
+
+def _pairing_by_multipoly(m, s):
+    """The pairing as a product of MultiPolys: each multiset's coefficient,
+    times the numbered graphs it stands for, as a constant, multiplied by
+    the matrix entry of each edge in turn."""
+    grouped = _accumulate({}, (
+        (tuple(sorted(key)), c * s._count((key,))) for key, c in s._terms.items()
+    ))
+    total = {}
+    for ms, c in grouped.items():
+        prod = MultiPoly.const(c)
+        for a, b in ms:
+            prod = prod * m.entry(a, b)
+        _accumulate(total, prod._terms.items())
+    return MultiPoly._wrap(total)
+
+
+def test_pairing_matches_the_product_of_multipolys():
+    x, y = var(X), var(Y)
+    # zero, constant and Fraction entries, a squared variable, and x + y
+    # against x - y, whose cross terms cancel
+    M = WeightMatrix.from_rows([
+        [0, 3, x + y],
+        [Fraction(-1, 2), var(X, 2), x - y],
+        [var(w(3, 1)), Fraction(2, 3) * y + 1, var(Q) * x],
+    ])
+    edges = directed_edge_types(3)
+    coeffs = [1, -2, Fraction(1, 2), Fraction(-3, 4), 5]
+    numbered_sum = FormalSum(3, 2, {
+        DirectedGraph(3, seq): coeffs[i % len(coeffs)]
+        for i, seq in enumerate(product(edges, repeat=2))
+    })
+    multiset_sum = SymmetricSum(3, 3, {
+        ms: coeffs[i % len(coeffs)]
+        for i, ms in enumerate(combinations_with_replacement(edges, 3))
+    })
+    for s in (numbered_sum, multiset_sum):
+        got, want = pairing(M, s), _pairing_by_multipoly(M, s)
+        assert got == want and got
+        assert {m: type(c) for m, c in got._terms.items()} == {
+            m: type(c) for m, c in want._terms.items()
+        }
+    # two numberings of one multiset at 1/2 each: the grouped coefficient
+    # is the integer 1, stored as an int
+    g, h = DirectedGraph(2, ((1, 2), (2, 1))), DirectedGraph(2, ((2, 1), (1, 2)))
+    half_each = FormalSum(2, 2, {g: Fraction(1, 2), h: Fraction(1, 2)})
+    got = pairing(WeightMatrix.symbolic(2), half_each)
+    assert got._terms == {((w(1, 2), 1), (w(2, 1), 1)): 1}
+    assert [type(c) for c in got._terms.values()] == [int]
 
 
 def test_pairing_invariant_under_renumbering():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphdet.potts as potts_module
-from graphdet import verify
+from graphdet import graphs, verify
 from graphdet.algebra import (
     FormalSum,
     SymmetricSum,
@@ -379,15 +379,15 @@ def test_operator_laws_list_every_failing_sequence_in_order(monkeypatch):
     # loop at vertex 2 gain a sink) and a position fault that depends on the
     # numbering; the report must equal a walk that runs both halves on
     # every sequence, the position law winning where both fail
-    classify = verify.classify
+    classify_key = verify._classify_key
 
-    def loop_gains_sink(g):
-        c = classify(g)
-        if g.edges.count((2, 2)) != 1:
+    def loop_gains_sink(n, key):
+        c = classify_key(n, key)
+        if key.count((2, 2)) != 1:
             return c
         return dataclasses.replace(c, sinks=c.sinks | {0})
 
-    monkeypatch.setattr(verify, "classify", loop_gains_sink)
+    monkeypatch.setattr(verify, "_classify_key", loop_gains_sink)
     monkeypatch.setattr(verify, "b_op", _numbering_fault)
     for n, k in [(2, 3), (3, 2), (2, 4)]:
         want = []
@@ -444,6 +444,19 @@ def test_operator_laws_call_b_op_on_every_sequence_and_position(monkeypatch):
             for seq in product(directed_edge_types(n), repeat=k)
             for p in range(1, k + 1)
         }
+
+
+def test_operator_laws_build_no_graphs(monkeypatch):
+    # the laws run on edge tuples: no graph object is built, for a sequence
+    # or a multiset or an image
+    built = []
+    post = graphs._Graph.__post_init__
+    monkeypatch.setattr(graphs._Graph, "__post_init__",
+                        lambda self: built.append(self) or post(self))
+    assert verify_operator_laws(3, 3).ok
+    assert built == []
+    DirectedGraph(3, ((1, 1),))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("fault", [None, _numbering_fault, _commute_fault, _copying],
