@@ -54,7 +54,7 @@ from .graphs import (
     directed_edge_types,
     forget,
 )
-from .poly import MultiPoly, _accumulate, _exact
+from .poly import MultiPoly, _accumulate, _exact, _product
 
 
 class _LinearSum:
@@ -381,12 +381,10 @@ def pairing(m, s):
     stands for, is added under its sorted edge tuple; nothing is expanded.
 
     Each multiset's product starts from its coefficient, as
-    ``MultiPoly.const`` does, and is multiplied out one edge at a time in
-    plain dicts, like monomials merging after each edge as in
-    ``MultiPoly.__mul__``.  A partial monomial is the sorted tuple of its
-    variables, each repeated by its exponent; it becomes (variable,
-    exponent) pairs once, at the end.  Each entry is read once per call,
-    through ``m.entry``."""
+    ``MultiPoly.const`` stores it, and folds in one edge's entry at a time
+    through ``poly._product``, the loop of ``MultiPoly.__mul__``, so like
+    monomials merge after each edge and no ``MultiPoly`` is built per edge.
+    Each entry is read once per call, through ``m.entry``."""
     if not isinstance(s, _LinearSum):
         raise TypeError("pairing expects a FormalSum or SymmetricSum")
     if s.n != m.n:
@@ -396,37 +394,16 @@ def pairing(m, s):
     grouped = _accumulate({}, (
         (tuple(sorted(key)), c * s._count((key,))) for key, c in s._terms.items()
     ))
-    factors: dict = {}  # edge -> its entry's (flat monomial, coefficient) pairs
+    factors: dict = {}  # edge -> its entry's stored terms
     total: dict = {}
     for ms, c in grouped.items():
-        prod = {(): _exact(c)}
+        prod = MultiPoly.const(c)._terms
         for e in ms:
             factor = factors.get(e)
             if factor is None:
-                factor = factors[e] = []
-                for mono, y in m.entry(*e)._terms.items():
-                    flat = ()
-                    for v, x in mono:
-                        flat += (v,) * x
-                    factor.append((flat, y))
-            folded: dict = {}  # filled as ``_accumulate`` fills, inline
-            for f1, c1 in prod.items():
-                for f2, c2 in factor:
-                    key = tuple(sorted(f1 + f2))
-                    x = folded.get(key)
-                    x = c1 * c2 if x is None else x + c1 * c2
-                    if x:
-                        folded[key] = x
-                    else:
-                        del folded[key]
-            prod = folded
-        monos = []
-        for flat, y in prod.items():
-            exps: dict = {}
-            for v in flat:
-                exps[v] = exps.get(v, 0) + 1
-            monos.append((tuple(exps.items()), y))
-        _accumulate(total, monos)
+                factor = factors[e] = list(m.entry(*e)._terms.items())
+            prod = _product(prod, factor)
+        _accumulate(total, prod.items())
     return MultiPoly._wrap(total)
 
 

@@ -1,9 +1,11 @@
 """Exact multivariate polynomials over the rationals, and weight matrices.
 
 Variables are either matrix entries w[i,j] or named scalars (q, v, x, y).
-A polynomial is a map from monomials (sorted variable-exponent tuples) to
-nonzero exact coefficients, kept as ints while they are integers and as
-Fractions once a division makes them so; its accessors return Fractions.
+A polynomial maps monomials to nonzero exact coefficients, kept as ints
+while they are integers and as Fractions once a division makes them so;
+its accessors return Fractions.  A monomial is stored as the sorted tuple
+of its variables, each repeated by its exponent (w[1,2]^2*q is
+(q, w[1,2], w[1,2])), and ``_product`` multiplies in that form.
 Everything is exact; there is no floating point anywhere.  The
 determinant is computed by cofactor expansion, which is division-free and
 perfectly adequate for the matrix sizes used here, and "minor" always means
@@ -41,12 +43,12 @@ def w(i: int, j: int) -> Variable:
 Monomial = tuple[tuple[Variable, int], ...]
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    return tuple(sorted(_accumulate(dict(m1), m2).items()))
+def _pairs(flat: tuple[Variable, ...]) -> Monomial:
+    """A stored monomial as its sorted (variable, exponent) pairs."""
+    exps: dict = {}
+    for v in flat:
+        exps[v] = exps.get(v, 0) + 1
+    return tuple(exps.items())
 
 
 def _exact(value) -> int | Fraction:
@@ -66,7 +68,8 @@ def _exact(value) -> int | Fraction:
 def _accumulate(terms: dict, items) -> dict:
     """Add each (key, value) pair of items into terms and return terms.  A
     new key stores its value as given, with no arithmetic; a key already
-    present stores the sum; a key whose value is zero is dropped."""
+    present stores the sum; a key whose value is zero is dropped.  Two inner
+    loops apply the rule inline: ``laplace.b_op`` and ``_product``."""
     for key, c in items:
         old = terms.get(key)
         if old is not None:
@@ -78,10 +81,26 @@ def _accumulate(terms: dict, items) -> dict:
     return terms
 
 
+def _product(terms: dict, factor) -> dict:
+    """The stored terms of terms times factor, a reusable iterable of
+    (stored monomial, coefficient) pairs, added as ``_accumulate`` adds."""
+    out: dict = {}
+    for f1, c1 in terms.items():
+        for f2, c2 in factor:
+            key = tuple(sorted(f1 + f2))
+            x = out.get(key)
+            x = c1 * c2 if x is None else x + c1 * c2
+            if x:
+                out[key] = x
+            else:
+                del out[key]
+    return out
+
+
 class MultiPoly:
     """A finite rational linear combination of monomials.
 
-    ``_terms`` maps each monomial to a nonzero int or Fraction;
+    ``_terms`` maps each stored monomial to a nonzero int or Fraction;
     ``terms()``, ``constant_value`` and ``evaluate`` return Fractions."""
 
     __slots__ = ("_terms",)
@@ -93,15 +112,17 @@ class MultiPoly:
         that is not a non-negative int, a bool included, raises ValueError."""
         items = []
         for mono, c in (terms or {}).items():
+            flat: tuple = ()
             for var, e in mono:
                 if type(e) is not int or e < 0:
                     raise ValueError(f"exponents must be non-negative integers, got {e!r}")
-            items.append((tuple(sorted(_accumulate({}, mono).items())), _exact(c)))
+                flat += (var,) * e
+            items.append((tuple(sorted(flat)), _exact(c)))
         self._terms = _accumulate({}, items)
 
     @staticmethod
     def _wrap(terms: dict) -> "MultiPoly":
-        """The trusted constructor: terms already map sorted monomials to
+        """The trusted constructor: terms already map stored monomials to
         nonzero ints or Fractions.  The dict is kept, not copied."""
         out = MultiPoly.__new__(MultiPoly)
         out._terms = terms
@@ -125,7 +146,8 @@ class MultiPoly:
         return not self._terms
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
-        return [(mono, Fraction(c)) for mono, c in sorted(self._terms.items())]
+        """Sorted (variable, exponent) pairs: x*y before x^2, unlike stored."""
+        return sorted((_pairs(mono), Fraction(c)) for mono, c in self._terms.items())
 
     def __bool__(self):
         return bool(self._terms)
@@ -161,17 +183,13 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return MultiPoly._wrap(_accumulate({}, (
-            (_mono_mul(m1, m2), c1 * c2)
-            for m1, c1 in self._terms.items()
-            for m2, c2 in other._terms.items()
-        )))
+        return MultiPoly._wrap(_product(self._terms, other._terms.items()))
 
     __rmul__ = __mul__
 
     def __pow__(self, exp: int):
-        if exp < 0:
-            raise ValueError("negative exponents are not supported")
+        if type(exp) is not int or exp < 0:
+            raise ValueError(f"exponents must be non-negative integers, got {exp!r}")
         result = MultiPoly.const(1)
         for _ in range(exp):
             result = result * self
@@ -186,20 +204,18 @@ class MultiPoly:
         return NotImplemented
 
     def derivative(self, var: Variable, m: int = 1) -> "MultiPoly":
-        """m-fold formal partial derivative."""
-        if m < 1:
-            raise ValueError("derivative order must be at least 1")
+        """m-fold formal partial derivative; m is an int (not a bool) >= 1."""
+        if type(m) is not int or m < 1:
+            raise ValueError(f"derivative order must be an int of at least 1, got {m!r}")
         cur = self
         for _ in range(m):
-            items = []
+            terms = {}
             for mono, c in cur._terms.items():
-                exps = dict(mono)
-                e = exps.pop(var, 0)
-                if e:
-                    if e > 1:
-                        exps[var] = e - 1
-                    items.append((tuple(sorted(exps.items())), c * e))
-            cur = MultiPoly._wrap(_accumulate({}, items))
+                e = mono.count(var)
+                if e:  # dropping one copy keeps distinct monomials distinct
+                    i = mono.index(var)
+                    terms[mono[:i] + mono[i + 1:]] = c * e
+            cur = MultiPoly._wrap(terms)
         return cur
 
     def substitute(self, assignment: dict) -> "MultiPoly":
@@ -211,14 +227,14 @@ class MultiPoly:
         total = MultiPoly.zero()
         for mono, c in self._terms.items():
             term = MultiPoly.const(c)
-            residue: dict[Variable, int] = {}
-            for var, e in mono:
+            residue: tuple = ()
+            for var in mono:
                 if var in values:
-                    term = term * values[var] ** e
+                    term = term * values[var]
                 else:
-                    residue[var] = e
+                    residue += (var,)
             if residue:
-                term = term * MultiPoly({tuple(sorted(residue.items())): 1})
+                term = term * MultiPoly._wrap({residue: 1})
             total = total + term
         return total
 

@@ -44,6 +44,7 @@ from .graphs import (
     check_cap,
     check_shape,
     directed_edge_types,
+    subset_positions,
     undirected_edge_types,
 )
 from .laplace import b_op, laplace
@@ -235,12 +236,10 @@ def _alpha_sigma(c: GraphClassification, k: int) -> tuple[int, int]:
 def _subset_signs(n: int, k: int, edges: tuple) -> tuple[tuple, tuple]:
     """The acyclicity sign alpha and the semiconnectivity sign sigma of the
     subgraph each of the 2^k bit masks keeps of the sorted edges, in mask
-    order; the last entry is the whole graph.  A mask's key is its lowest
-    edge before the key of the mask without it, so each key comes sorted."""
+    order, as ``graphs.subset_positions`` lists them; the last entry is the
+    whole graph.  Positions come in order, so each key comes sorted."""
     edges = sorted(edges)
-    keys = [()]
-    for m in range(1, 2 ** k):
-        keys.append((edges[(m & -m).bit_length() - 1],) + keys[m & (m - 1)])
+    keys = (tuple(edges[p] for p in pos) for pos in subset_positions(k))
     alpha, sigma = zip(*(_alpha_sigma(_classify_key(n, key), len(key)) for key in keys))
     return alpha, sigma
 
@@ -578,10 +577,11 @@ def _position_laws(n, k, edges):
 def _multiset_laws(n, k, multiset):
     """The first numbering-free law the graph violates, as the (expected,
     actual) pair of its failure, or None: the Laplace operator is
-    idempotent, its image is loop-free with the graph's sinks, and pairing
-    with the zero-row-sum matrix factors through it.  No graph is built:
-    each edge tuple is classified sorted, so the multiset may come in any
-    order."""
+    idempotent, its image is loop-free with the graph's sinks, pairing with
+    the zero-row-sum matrix factors through it, and it equals b_k ... b_1,
+    the position operators composed on the multiset's one-term sum.  No
+    graph is built: each edge tuple is classified sorted, so the multiset
+    may come in any order."""
     W, Wh = _matrices(n)
     s = FormalSum._wrap(n, k, {multiset: 1})
     ds = laplace(s)
@@ -594,14 +594,19 @@ def _multiset_laws(n, k, multiset):
             return "law:support", "violated"
     if pairing(Wh, s) != pairing(W, ds):
         return "law:pairing", "violated"
+    for p in range(1, k + 1):
+        s = b_op(p, s)
+    if s != ds:
+        return "law:compose", "violated"
     return None
 
 
 @_check("operator_laws")
 def verify_operator_laws(n: int, k: int, cap=None):
     """Position operators are commuting idempotents, the Laplace operator is
-    idempotent with loop-free sink-preserving output, and pairing with the
-    zero-row-sum matrix factors through it; on the full graph basis.  A graph
+    idempotent with loop-free sink-preserving output, pairing with the
+    zero-row-sum matrix factors through it, and it is the composition of the
+    position operators (``law:compose``); on the full graph basis.  A graph
     violating a position law is reported under that law's name."""
     return _enumerate(_multiset_laws, n, k, k * k + 2, cap, per_sequence=_position_laws)
 

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, weight matrices, and the minor oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -11,16 +12,19 @@ from graphdet import (
     FormalSum,
     MultiPoly,
     SymmetricSum,
+    UndirectedGraph,
     WeightMatrix,
     determinant,
     laplace_matrix,
     minor,
     pairing,
+    tutte,
     universal_det,
     w,
 )
 from graphdet.graphs import directed_edge_types
 from graphdet.poly import Q, V, X, Y, Variable, _accumulate
+from graphdet.potts import potts
 
 var = MultiPoly.variable
 
@@ -97,6 +101,16 @@ def test_constructor_canonicalizes_monomials():
             MultiPoly({((V, 1), (Q, exp)): 1})
 
 
+@pytest.mark.parametrize("order", [True, False, 2.0, Fraction(2), -1, "2"])
+def test_power_and_derivative_refuse_orders_that_are_not_ints(order):
+    # as the constructor and MultiPoly.variable refuse such an exponent
+    with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+        var(X) ** order
+    with pytest.raises(ValueError, match="derivative order must be an int"):
+        var(X).derivative(X, order)
+    assert var(X) ** 0 == 1 and (var(X) ** 2).derivative(X, 2) == 2
+
+
 def test_determinant_small():
     W = WeightMatrix.symbolic(2)
     assert determinant(W) == var(w(1, 1)) * var(w(2, 2)) - var(w(1, 2)) * var(w(2, 1))
@@ -159,20 +173,48 @@ def test_pairing_examples():
         pairing(W, FormalSum.single(DirectedGraph(3, ())))
 
 
-def _pairing_by_multipoly(m, s):
-    """The pairing as a product of MultiPolys: each multiset's coefficient,
-    times the numbered graphs it stands for, as a constant, multiplied by
-    the matrix entry of each edge in turn."""
-    grouped = _accumulate({}, (
+def _grouped(s):
+    """Each multiset's coefficient, times the numbered graphs it stands for."""
+    return _accumulate({}, (
         (tuple(sorted(key)), c * s._count((key,))) for key, c in s._terms.items()
     ))
-    total = {}
-    for ms, c in grouped.items():
+
+
+def _pairing_by_multipoly(m, s):
+    """The pairing as a product of MultiPolys: each multiset's coefficient
+    as a constant, multiplied by the matrix entry of each edge in turn."""
+    total = MultiPoly.zero()
+    for ms, c in _grouped(s).items():
         prod = MultiPoly.const(c)
         for a, b in ms:
             prod = prod * m.entry(a, b)
-        _accumulate(total, prod._terms.items())
-    return MultiPoly._wrap(total)
+        total = total + prod
+    return total
+
+
+def _by_pairs(p):
+    """A MultiPoly's stored terms keyed by sorted (variable, exponent)
+    pairs, each coefficient in its stored type."""
+    return {tuple(sorted(Counter(mono).items())): c for mono, c in p._terms.items()}
+
+
+def _pairing_by_exponents(m, s):
+    """The pairing with its own product, on (variable, exponent) pairs: each
+    product of two monomials merges their exponent dicts."""
+    total = {}
+    for ms, c in _grouped(s).items():
+        prod = _by_pairs(MultiPoly.const(c))
+        for a, b in ms:
+            out = {}
+            for m1, c1 in prod.items():
+                for m2, c2 in _by_pairs(m.entry(a, b)).items():
+                    exps = dict(m1)
+                    for v, e in m2:
+                        exps[v] = exps.get(v, 0) + e
+                    _accumulate(out, [(tuple(sorted(exps.items())), c1 * c2)])
+            prod = out
+        _accumulate(total, prod.items())
+    return total
 
 
 def test_pairing_matches_the_product_of_multipolys():
@@ -195,17 +237,19 @@ def test_pairing_matches_the_product_of_multipolys():
         for i, ms in enumerate(combinations_with_replacement(edges, 3))
     })
     for s in (numbered_sum, multiset_sum):
-        got, want = pairing(M, s), _pairing_by_multipoly(M, s)
-        assert got == want and got
-        assert {m: type(c) for m, c in got._terms.items()} == {
-            m: type(c) for m, c in want._terms.items()
-        }
+        want = _pairing_by_exponents(M, s)
+        assert want
+        for got in (pairing(M, s), _pairing_by_multipoly(M, s)):
+            assert _by_pairs(got) == want
+            assert {m: type(c) for m, c in _by_pairs(got).items()} == {
+                m: type(c) for m, c in want.items()
+            }
     # two numberings of one multiset at 1/2 each: the grouped coefficient
     # is the integer 1, stored as an int
     g, h = DirectedGraph(2, ((1, 2), (2, 1))), DirectedGraph(2, ((2, 1), (1, 2)))
     half_each = FormalSum(2, 2, {g: Fraction(1, 2), h: Fraction(1, 2)})
     got = pairing(WeightMatrix.symbolic(2), half_each)
-    assert got._terms == {((w(1, 2), 1), (w(2, 1), 1)): 1}
+    assert got.terms() == [(((w(1, 2), 1), (w(2, 1), 1)), 1)]
     assert [type(c) for c in got._terms.values()] == [int]
 
 
@@ -253,6 +297,33 @@ def test_variable_ordering_is_stable():
     assert str(p) == "1/1 * q + 1/1 * v + 1/1 * w[1,2]"
     assert str(MultiPoly.zero()) == "0/1"
     assert Variable("q") < Variable("v") < w(1, 1) < w(1, 2)
+
+
+def test_printed_polynomials_are_pinned():
+    # text output lists monomials in (variable, exponent) pair order, where
+    # x * y comes before x^2, whatever order they are stored in
+    u = UndirectedGraph(3, ((1, 1), (1, 2), (1, 2), (2, 3), (1, 3)))
+    x, y, q, v = (var(t) for t in (X, Y, Q, V))
+    p = (x ** 2 * y + 3 * x * y ** 2 - x * y + 2) * (q + v)
+    assert [
+        str(determinant(WeightMatrix.symbolic(3))),
+        str(tutte(u)),
+        str(potts(u)),
+        str(p.derivative(Y)),
+        str(p.substitute({Y: 2, Q: x + 1})),
+    ] == [
+        "1/1 * w[1,1] * w[2,2] * w[3,3] + -1/1 * w[1,1] * w[2,3] * w[3,2]"
+        " + -1/1 * w[1,2] * w[2,1] * w[3,3] + 1/1 * w[1,2] * w[2,3] * w[3,1]"
+        " + 1/1 * w[1,3] * w[2,1] * w[3,2] + -1/1 * w[1,3] * w[2,2] * w[3,1]",
+        "1/1 * x * y + 1/1 * x * y^2 + 1/1 * x^2 * y + 1/1 * y^2 + 1/1 * y^3",
+        "5/1 * q * v^2 + 9/1 * q * v^3 + 5/1 * q * v^4 + 1/1 * q * v^5"
+        " + 4/1 * q^2 * v + 5/1 * q^2 * v^2 + 1/1 * q^2 * v^3 + 1/1 * q^3"
+        " + 1/1 * q^3 * v",
+        "-1/1 * q * x + 6/1 * q * x * y + 1/1 * q * x^2 + -1/1 * v * x"
+        " + 6/1 * v * x * y + 1/1 * v * x^2",
+        "2/1 + 2/1 * v + 10/1 * v * x + 2/1 * v * x^2 + 12/1 * x + 12/1 * x^2"
+        " + 2/1 * x^3",
+    ]
 
 
 def test_accumulate_drops_cancelled_keys():

@@ -5,7 +5,7 @@ import inspect
 import json
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,6 +353,19 @@ def _commute_fault(p, s):
     return 2 * out if p == 1 and len(out) > s.n - 1 else out
 
 
+def _sign_flip(p, s):
+    """b_op with the sign of every loop's replacement image flipped: b_p(s)
+    is the terms of s with no loop at p (kept) plus the image R of the
+    others, so the flipped result is kept - R = 2 kept - b_p(s).  Each b_p
+    stays idempotent and every two of them commute."""
+    out = b_op(p, s)
+    if out is s:
+        return out
+    s = s.expand()
+    kept = {e: c for e, c in s._terms.items() if e[p - 1][0] != e[p - 1][1]}
+    return 2 * FormalSum._wrap(s.n, s.k, kept, s.kind) - out
+
+
 def _copying(p, s):
     """b_op, returning an equal new sum where b_op returns its argument."""
     out = b_op(p, s)
@@ -395,7 +408,7 @@ def test_operator_laws_list_every_failing_sequence_in_order(monkeypatch):
         both = 0
         for seq in product(directed_edge_types(n), repeat=k):
             position = _position_laws(n, k, seq)
-            multiset = _multiset_laws(n, k, seq)
+            multiset = _multiset_laws(n, k, tuple(sorted(seq)))
             both += position is not None and multiset is not None
             bad = position or multiset
             if bad is not None:
@@ -418,32 +431,55 @@ def test_operator_laws_catch_a_fault_only_commute_sees(monkeypatch):
         assert run_check("operator_laws", {"n": n, "k": k}).failures == want
 
 
+def test_operator_laws_catch_a_sign_flip_only_compose_sees(monkeypatch):
+    # flipped replacement signs keep every position law and leave laplace,
+    # which does not call b_op, as it was; only law:compose sees the fault,
+    # on each multiset with an odd number of loops
+    assert verify_operator_laws(2, 1).ok
+    monkeypatch.setattr(verify, "b_op", _sign_flip)
+    r = verify_operator_laws(2, 1)
+    assert r.status == "fail"
+    assert r.failures == [_failure(((a, a),), "law:compose", "violated") for a in (1, 2)]
+
+
 def test_operator_laws_call_b_op_on_every_sequence_and_position(monkeypatch):
     # k singles per sequence, then k calls for each position whose image
     # b_op changed (an image it returned as it is needs none):
-    # k(1 + |moved|) per sequence, k n^(2k - 1) (n + k) in all; every
+    # k(1 + |moved|) per sequence, k n^(2k - 1) (n + k) in all; then k
+    # calls per multiset, composing b_1, ..., b_k for law:compose.  Every
     # position still sees every sequence's own one-term sum exactly once
+    # from the position laws, besides the sums the compose walk passes it
     calls = []
 
     def counted(p, s):
         calls.append((p, s))
         return b_op(p, s)
 
-    monkeypatch.setattr(verify, "b_op", counted)
-    for n, k, want in [(3, 2, 270), (2, 3, 480)]:
-        calls.clear()
-        assert verify_operator_laws(n, k).ok
-        assert len(calls) == want == k * n ** (2 * k - 1) * (n + k)
-        own = Counter()
-        for p, s in calls:
+    def own(pairs):
+        out = Counter()
+        for p, s in pairs:
             terms = s.terms()
             if len(terms) == 1 and terms[0][1] == 1:
-                own[p, terms[0][0].edges] += 1
-        assert own == {
+                out[p, terms[0][0].edges] += 1
+        return out
+
+    monkeypatch.setattr(verify, "b_op", counted)
+    for n, k, want in [(3, 2, 360), (2, 3, 540)]:
+        multisets = list(combinations_with_replacement(directed_edge_types(n), k))
+        calls.clear()
+        assert verify_operator_laws(n, k).ok
+        assert len(calls) == want == k * n ** (2 * k - 1) * (n + k) + k * len(multisets)
+        composed = []
+        for ms in multisets:
+            s = FormalSum.single(DirectedGraph(n, ms))
+            for p in range(1, k + 1):
+                composed.append((p, s))
+                s = b_op(p, s)
+        assert own(calls) == own(composed) + Counter({
             (p, seq): 1
             for seq in product(directed_edge_types(n), repeat=k)
             for p in range(1, k + 1)
-        }
+        })
 
 
 def test_operator_laws_build_no_graphs(monkeypatch):
@@ -473,18 +509,25 @@ def test_position_laws_skip_only_calls_that_cannot_fail(monkeypatch, fault):
 
     monkeypatch.setattr(verify, "b_op", counted)
     failing = 0
+    names = set()
     for n, k in [(3, 2), (2, 3), (3, 3)]:
         want = []
         for seq in product(directed_edge_types(n), repeat=k):
-            bad = _all_call_position_laws(n, k, seq) or _multiset_laws(n, k, seq)
+            bad = (_all_call_position_laws(n, k, seq)
+                   or _multiset_laws(n, k, tuple(sorted(seq))))
             if bad is not None:
+                names.add(bad[0])
                 want.append(_failure(seq, *bad))
         calls.clear()
         assert run_check("operator_laws", {"n": n, "k": k}).failures == want
         if fault is _copying:
-            assert len(calls) == n ** (2 * k) * k * (k + 1)
+            multisets = len(list(combinations_with_replacement(directed_edge_types(n), k)))
+            assert len(calls) == n ** (2 * k) * k * (k + 1) + k * multisets
         failing += len(want)
     assert bool(failing) == (fault in (_numbering_fault, _commute_fault))
+    # b_1 doubling a sum whose first edge is (1, 2) also breaks the
+    # composition for the multisets that sort that edge first
+    assert ("law:compose" in names) == (fault is _numbering_fault)
 
 
 # ---------------------------------------------------------------------------
