@@ -343,19 +343,21 @@ def forget(g: DirectedGraph) -> UndirectedGraph:
     return UndirectedGraph(g.n, g.edges)
 
 
-def orientations(u: UndirectedGraph, cap: int | None = None) -> Iterator[DirectedGraph]:
-    """All directed graphs whose unoriented image is u.
+def _orientation_count(edges: tuple[Edge, ...]) -> int:
+    """How many orientations ``_orientations`` walks: 2^(non-loop edges)."""
+    return 2 ** sum(a != b for a, b in edges)
 
-    There are 2^(non-loop edge count): a loop has a single orientation.
-    """
-    choices: list[tuple[Edge, ...]] = []
-    size = 1
-    for a, b in u.edges:
-        choices.append(((a, a),) if a == b else ((a, b), (b, a)))
-        if a != b:
-            size *= 2
-    check_cap(size, cap)
-    for edges in itertools.product(*choices):
+
+def _orientations(edges: tuple[Edge, ...]) -> Iterator[tuple[Edge, ...]]:
+    """The orientations of an undirected edge tuple, in product order, each
+    edge in its place: a loop has one orientation, any other edge two."""
+    return itertools.product(*(((a, b),) if a == b else ((a, b), (b, a)) for a, b in edges))
+
+
+def orientations(u: UndirectedGraph, cap: int | None = None) -> Iterator[DirectedGraph]:
+    """All directed graphs whose unoriented image is u."""
+    check_cap(_orientation_count(u.edges), cap)
+    for edges in _orientations(u.edges):
         yield DirectedGraph(u.n, edges)
 
 

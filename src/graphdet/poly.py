@@ -221,22 +221,20 @@ class MultiPoly:
     def substitute(self, assignment: dict) -> "MultiPoly":
         """Replace variables by rationals or polynomials; others stay."""
         values = {
-            var: val if isinstance(val, MultiPoly) else MultiPoly.const(val)
+            var: (val if isinstance(val, MultiPoly) else MultiPoly.const(val))._terms.items()
             for var, val in assignment.items()
         }
-        total = MultiPoly.zero()
+        total: dict = {}
         for mono, c in self._terms.items():
-            term = MultiPoly.const(c)
+            term = {(): c}
             residue: tuple = ()
             for var in mono:
                 if var in values:
-                    term = term * values[var]
+                    term = _product(term, values[var])
                 else:
                     residue += (var,)
-            if residue:
-                term = term * MultiPoly._wrap({residue: 1})
-            total = total + term
-        return total
+            _accumulate(total, _product(term, ((residue, 1),)).items())
+        return MultiPoly._wrap(total)
 
     def evaluate(self, assignment: dict):
         """Substitute and collapse: a Fraction if nothing is left symbolic."""

@@ -37,7 +37,6 @@ from .algebra import (
 from .graphs import (
     CapExceeded,
     GraphClassification,
-    UndirectedGraph,
     _beta0,
     _classify_key,
     _vertex,
@@ -50,14 +49,7 @@ from .graphs import (
 from .laplace import b_op, laplace
 from .oracles import rooted_forest_poly
 from .poly import MultiPoly, WeightMatrix, laplace_matrix, minor, w
-from .potts import (
-    _orientation_counts,
-    _potts_sum,
-    _subset_counts,
-    _subset_table,
-    shave,
-    universal_potts,
-)
+from .potts import _orientation_counts, _potts_sum, _shaved, _subset_table, universal_potts
 
 EXPECTED_SIGNS = {"expansion": -1, "derivative": -1}
 _FAILURES_SHOWN = 20
@@ -233,13 +225,13 @@ def _alpha_sigma(c: GraphClassification, k: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _subset_signs(n: int, k: int, edges: tuple) -> tuple[tuple, tuple]:
+def _subset_signs(n: int, edges: tuple) -> tuple[tuple, tuple]:
     """The acyclicity sign alpha and the semiconnectivity sign sigma of the
     subgraph each of the 2^k bit masks keeps of the sorted edges, in mask
     order, as ``graphs.subset_positions`` lists them; the last entry is the
-    whole graph.  Positions come in order, so each key comes sorted."""
-    edges = sorted(edges)
-    keys = (tuple(edges[p] for p in pos) for pos in subset_positions(k))
+    whole graph.  Callers sort, so a multiset has one entry, and each key
+    comes sorted."""
+    keys = (tuple(edges[p] for p in pos) for pos in subset_positions(len(edges)))
     alpha, sigma = zip(*(_alpha_sigma(_classify_key(n, key), len(key)) for key in keys))
     return alpha, sigma
 
@@ -249,12 +241,12 @@ def _first_mismatch(checks):
 
 
 def _direct_case(n, k, edges):
-    alpha, sigma = _subset_signs(n, k, edges)
+    alpha, sigma = _subset_signs(n, tuple(sorted(edges)))
     return _first_mismatch([((-1) ** k * sigma[-1], sum(alpha))])
 
 
 def _direct_prime_case(n, k, edges):
-    alpha, sigma = _subset_signs(n, k, edges)
+    alpha, sigma = _subset_signs(n, tuple(sorted(edges)))
     return _first_mismatch([((-1) ** k * alpha[-1], sum(sigma))])
 
 
@@ -272,7 +264,7 @@ def verify_direct_prime(n: int, k: int, cap=None):
 
 
 def _mobius_case(n, k, edges):
-    alpha, sigma = _subset_signs(n, k, edges)
+    alpha, sigma = _subset_signs(n, tuple(sorted(edges)))
     return _first_mismatch([
         (sigma[-1], (-1) ** k * sum(alpha)),
         (alpha[-1], (-1) ** k * sum(sigma)),
@@ -459,13 +451,16 @@ def verify_kirchhoff_codim1(n: int, i: int, j: int, cap=None):
 
 
 def _specval_case(n, k, edges):
-    u = UndirectedGraph(n, edges)
+    """Both special values of an undirected multiset, sorted here, against
+    its orientation counts; no graph is built, and the walk checks the cap."""
+    edges = tuple(sorted(edges))
     sign = (-1) ** _beta0(n, edges)
-    loops = sum(1 for a, b in edges if a == b)
-    ssc_count, ac_count = _orientation_counts(u, None)
-    counts = _subset_counts(u, None)
+    loop_free = _shaved(edges)
+    loops = k - len(loop_free)
+    ssc_count, ac_count = _orientation_counts(n, edges)
+    counts = _subset_table(n, edges)
     z_m1_1 = _potts_sum(counts, -1, 1)
-    shaved = _potts_sum(_subset_counts(shave(u), None), -1, 1) if loops else z_m1_1
+    shaved = _potts_sum(_subset_table(n, loop_free), -1, 1) if loops else z_m1_1
     return _first_mismatch([
         (sign * 2 ** loops * ssc_count, z_m1_1),
         ((-1) ** n * ac_count, _potts_sum(counts, -1, -1)),

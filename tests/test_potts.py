@@ -7,6 +7,7 @@ import pytest
 
 import graphdet.potts as potts_module
 from graphdet import (
+    CapExceeded,
     DirectedGraph,
     MultiPoly,
     UndirectedGraph,
@@ -14,7 +15,9 @@ from graphdet import (
     count_orientations,
     enumerate_undirected,
     forget_sum,
+    graphs,
     laplace,
+    orientations,
     shave,
     tutte,
     universal_det,
@@ -33,14 +36,14 @@ def test_subset_count_tables_are_shared_and_read_only():
     # specval, universal_potts and potts() read one cached table per
     # multiset; no caller can change it for the next
     u = U(2, ((1, 2), (1, 1), (2, 2)))
-    first = potts_module._subset_counts(u, None)
+    first = potts_module._subset_table(2, tuple(sorted(u.edges)))
     want = dict(first)
     with pytest.raises(TypeError):
         first[(1, 0)] = 0
     potts(u)
     universal_potts(2, 3, -1, 1, shaved=False)
     assert verify_specval(2, 3).ok and verify_lapl_tutte(2, 3).ok
-    second = potts_module._subset_counts(U(2, ((2, 2), (1, 2), (1, 1))), None)
+    second = potts_module._subset_table(2, tuple(sorted(U(2, ((2, 2), (1, 2), (1, 1))).edges)))
     assert second is first and dict(second) == want
 
 
@@ -145,6 +148,35 @@ def test_lapl_tutte_small():
         assert lhs == rhs
         for g in lhs.support():
             assert all(a != b for a, b in g.edges)
+
+
+def test_universal_potts_caps_the_multisets_it_walks():
+    # C(6 + 4 - 1, 4) = 126 multisets at (3, 4), not the 6^4 = 1296
+    # sequences; the 2^k subsets of one multiset count too, shaved or not
+    assert universal_potts(3, 4, -1, 1, cap=200) == universal_potts(3, 4, -1, 1)
+    with pytest.raises(CapExceeded):
+        universal_potts(3, 4, -1, 1, cap=125)
+    universal_potts(1, 4, -1, 1, shaved=True, cap=16)
+    with pytest.raises(CapExceeded):
+        universal_potts(1, 4, -1, 1, shaved=True, cap=15)
+
+
+def test_potts_side_reads_the_cap_once_per_call(monkeypatch):
+    reads = []
+    real = graphs.effective_cap
+    monkeypatch.setattr(graphs, "effective_cap",
+                        lambda cap=None: reads.append(cap) or real(cap))
+    u = U(3, ((1, 2), (2, 3), (1, 3), (2, 2)))
+    potts(u)
+    tutte(u)
+    count_orientations(u, "AC")
+    list(orientations(u))
+    universal_potts(3, 4, -1, 1, shaved=True)
+    assert len(reads) == 5
+    reads.clear()
+    # the walk's read, and one per side of lapl-tutte; none per multiset
+    assert verify_specval(3, 4).ok and verify_lapl_tutte(3, 4).ok
+    assert len(reads) == 3
 
 
 @pytest.mark.parametrize("q0, v0", [(0.1, 1), (1, 0.5), (-1.0, -1)])

@@ -190,6 +190,12 @@ def test_kirchhoff_checks():
         verify_kirchhoff_codim1(3, 2, 2)
 
 
+def test_subset_signs_keep_one_entry_per_multiset():
+    # the sign table is keyed by the sorted multiset, whatever its numbering
+    assert _direct_case(2, 2, ((1, 2), (1, 1))) == _direct_case(2, 2, ((1, 1), (1, 2)))
+    assert verify._subset_signs.cache_info().currsize == 1
+
+
 def test_specval_and_lapl_tutte():
     assert verify_specval(2, 2).ok
     assert verify_specval(3, 1).ok
@@ -201,10 +207,10 @@ def test_specval_counts_subsets_once_per_graph(monkeypatch):
     # one subset-count table per multiset serves both Potts points; the
     # shaved copy is counted only when the multiset has a loop: 126
     # multisets at (3, 4), 15 of them loop-free
-    real = verify._subset_counts
+    real = verify._subset_table
     calls = []
     monkeypatch.setattr(
-        verify, "_subset_counts", lambda u, cap: calls.append(u) or real(u, cap)
+        verify, "_subset_table", lambda n, key: calls.append(key) or real(n, key)
     )
     assert verify_specval(3, 4).ok
     assert len(calls) == 126 + (126 - 15)
@@ -213,9 +219,10 @@ def test_specval_counts_subsets_once_per_graph(monkeypatch):
 def test_specval_classifies_each_orientation_once(monkeypatch):
     # both orientation counts come from one pass: the 126 multisets at
     # (3, 4) have 699 orientations in all, each classified once
-    real = potts_module.classify
+    real = potts_module._classify_key
     calls = []
-    monkeypatch.setattr(potts_module, "classify", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(potts_module, "_classify_key",
+                        lambda n, key: calls.append(key) or real(n, key))
     assert verify_specval(3, 4).ok
     assert len(calls) == 699
 
@@ -318,9 +325,9 @@ def test_multiset_walk_lists_every_failing_sequence_in_order(monkeypatch):
             return c
         return dataclasses.replace(c, strongly_semiconnected=not c.strongly_semiconnected)
 
-    def miscounted(u, cap):
-        ssc, ac = orientation_counts(u, cap)
-        return ssc + (sum(a == b for a, b in u.edges) == 1), ac
+    def miscounted(n, key):
+        ssc, ac = orientation_counts(n, key)
+        return ssc + (sum(a == b for a, b in key) == 1), ac
 
     monkeypatch.setattr(verify, "_classify_key", flipped)
     monkeypatch.setattr(verify, "_orientation_counts", miscounted)
@@ -484,12 +491,14 @@ def test_operator_laws_call_b_op_on_every_sequence_and_position(monkeypatch):
 
 def test_operator_laws_build_no_graphs(monkeypatch):
     # the laws run on edge tuples: no graph object is built, for a sequence
-    # or a multiset or an image
+    # or a multiset or an image; nor does any cell of the default grid, the
+    # Potts side included
     built = []
     post = graphs._Graph.__post_init__
     monkeypatch.setattr(graphs._Graph, "__post_init__",
                         lambda self: built.append(self) or post(self))
     assert verify_operator_laws(3, 3).ok
+    assert all(r.ok for r in run_suite(SuiteConfig()) if r.check != "theta")
     assert built == []
     DirectedGraph(3, ((1, 1),))
     assert len(built) == 1
